@@ -60,6 +60,18 @@ fn build(dir: &Path) -> (store::Store, f64, f64) {
     (s, build_secs, compact_secs)
 }
 
+/// `key`'s cumulative count in every raw window of `dataset`.
+fn key_counts(dataset: &str, key: &str) -> Vec<u64> {
+    let mut stream = SynthStream::new(synth_cfg());
+    let mut counts = Vec::new();
+    while let Some(window) = stream.next_window() {
+        let ws = window.iter().find(|ws| ws.topk.dataset == dataset);
+        let entry = ws.and_then(|ws| ws.topk.entries.iter().find(|e| e.key == key));
+        counts.push(entry.map_or(0, |e| e.count));
+    }
+    counts
+}
+
 /// Best-of-`reps` latency of `f`, in milliseconds.
 fn best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
@@ -97,7 +109,34 @@ fn main() {
     });
     assert!(!points.is_empty(), "history returned no windows");
     let hits: u64 = points.iter().map(|p| p.hits).sum();
-    assert!(bound > 0, "merged bound must be stated");
+    // The stated interval holds the generator's truth: per point,
+    // count − error ≤ true ≤ count over the raw windows it covers, and
+    // so in total.
+    let counts = key_counts("aafqdn", "host0.example.");
+    let truth = |p: &store::HistoryPoint| -> u64 {
+        let lo = (p.start / 600.0).round() as usize;
+        let hi = ((p.start + p.length) / 600.0).round() as usize;
+        counts[lo.min(counts.len())..hi.min(counts.len())]
+            .iter()
+            .sum()
+    };
+    for p in &points {
+        let t = truth(p);
+        assert!(
+            p.count - p.error <= t && t <= p.count,
+            "history point at {}s: truth {t} outside [{}, {}]",
+            p.start,
+            p.count - p.error,
+            p.count
+        );
+    }
+    let count: u64 = points.iter().map(|p| p.count).sum();
+    let true_total: u64 = points.iter().map(truth).sum();
+    assert!(
+        count - bound <= true_total && true_total <= count,
+        "history total {true_total} outside [{}, {count}]",
+        count - bound
+    );
 
     // Renumbering events across the full interval: reassemble every
     // window, render, and scan for TTL flips.
@@ -139,7 +178,7 @@ fn main() {
     println!("store_topk_ms={topk_ms:.3}");
     println!("store_smoke_queries_per_sec={queries_per_sec:.1}");
     eprintln!(
-        "history: {n} point(s), {hits} exact hits, merged bound {bound}; renumber: {found}/{planted} events; budget {BUDGET_MS} ms, worst {worst:.3} ms",
+        "history: {n} point(s), {hits} exact hits, summed point error {bound}; renumber: {found}/{planted} events; budget {BUDGET_MS} ms, worst {worst:.3} ms",
         n = points.len()
     );
 

@@ -19,7 +19,7 @@
 use dns_observatory::{Dataset, ObservatoryConfig, StateExporter};
 use pubsub::{
     encode_frame_vec, Action, BrokerConfig, BrokerCore, Frame, ServeConfig, Server, ServerHandle,
-    Topic, PROTOCOL_VERSION,
+    Topic,
 };
 use simnet::{SimConfig, Simulation};
 use sketchwire::{AggregatorConfig, AggregatorCore, GlobalWindow, WindowState};
@@ -145,7 +145,6 @@ fn spawn_drain_client(addr: SocketAddr) -> thread::JoinHandle<u64> {
         let mut stream = TcpStream::connect(addr).expect("connect drain client");
         stream
             .write_all(&encode_frame_vec(&Frame::Hello {
-                protocol: PROTOCOL_VERSION,
                 item_version: <WindowState as feed::FeedItem>::ITEM_VERSION,
             }))
             .expect("hello");

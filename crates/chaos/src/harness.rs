@@ -19,8 +19,8 @@
 use std::collections::BTreeMap;
 
 use feed::{
-    CollectorConfig, CollectorCore, CollectorReport, FeedError, FeedItem, FrameOutcome,
-    FrameReader, SealEvent, SensorConfig, SensorMachine, SensorOp, SensorReport, Wrote,
+    CollectorConfig, CollectorCore, CollectorReport, FeedItem, FrameOutcome, FrameReader,
+    SealEvent, SensorConfig, SensorMachine, SensorOp, SensorReport, Wrote,
 };
 
 use crate::clock::{EventQueue, VirtualClock};
@@ -398,7 +398,7 @@ pub fn run_in<T: FeedItem + Clone>(
                             Ok(None) => break,
                             Err(e) => {
                                 core.on_bad_frame(conn, &e);
-                                if matches!(e, FeedError::Framing(_)) {
+                                if e.is_fatal() {
                                     // Unrecoverable stream desync.
                                     c.up_collector = false;
                                     c.up_sensor = false;

@@ -1132,7 +1132,7 @@ fn query_cmd(args: &[String]) -> i32 {
                 return 2;
             };
             match store::query::history(&s, dataset, key, t0_us, t1_us) {
-                Ok((points, total_bound, stats)) => {
+                Ok((points, total_error, stats)) => {
                     println!(
                         "history of {key:?} in {dataset} over [{}s, {}s): {} window(s)",
                         t0_us as f64 / 1e6,
@@ -1146,9 +1146,11 @@ fn query_cmd(args: &[String]) -> i32 {
                         );
                     }
                     let hits: u64 = points.iter().map(|p| p.hits).sum();
+                    let count: u64 = points.iter().map(|p| p.count).sum();
                     println!("exact hits (feature counters, sum of per-window deltas): {hits}");
                     println!(
-                        "merged Space-Saving error bound: {total_bound} (sum over {} window(s))",
+                        "true count in [{}, {count}] (Space-Saving count minus summed per-point error {total_error}, over {} window(s))",
+                        count.saturating_sub(total_error),
                         points.len()
                     );
                     print_query_stats(started, &stats);

@@ -6,7 +6,6 @@
 //! [`FeatureRow`] and reset, without disturbing the top-k list itself.
 
 use crate::summarize::{Outcome, TxSummary};
-use serde::{Deserialize, Serialize};
 use sketches::{HyperLogLog, LogHistogram, TopValues};
 use sketchwire::StateError;
 use std::collections::BTreeSet;
@@ -467,7 +466,7 @@ impl FeatureSet {
 
 /// One object's features in one time window, as plain numbers — the TSV
 /// row of the paper's data files (step E).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureRow {
     /// Total transactions.
     pub hits: u64,

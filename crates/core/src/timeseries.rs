@@ -3,10 +3,9 @@
 
 use crate::features::FeatureRow;
 use crate::keys::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// One dataset's rows for one time window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowDump {
     /// Dataset name (`srvip`, `esld`, …).
     pub dataset: String,
@@ -37,7 +36,7 @@ impl WindowDump {
 }
 
 /// In-memory store of all window dumps produced by a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeriesStore {
     windows: Vec<WindowDump>,
 }

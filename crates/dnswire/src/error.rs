@@ -45,14 +45,6 @@ pub enum WireError {
     BadUdpHeader(&'static str),
     /// The message would exceed 65 535 octets when serialized.
     MessageTooLong(usize),
-    /// A length-prefixed frame declared a payload above the decoder's
-    /// configured maximum (see [`crate::framing::Reassembler`]).
-    FrameTooLarge {
-        /// Declared payload length.
-        len: usize,
-        /// The decoder's maximum.
-        max: usize,
-    },
 }
 
 impl fmt::Display for WireError {
@@ -79,9 +71,6 @@ impl fmt::Display for WireError {
             WireError::BadIpHeader(why) => write!(f, "bad IP header: {why}"),
             WireError::BadUdpHeader(why) => write!(f, "bad UDP header: {why}"),
             WireError::MessageTooLong(n) => write!(f, "message of {n} octets exceeds 65535"),
-            WireError::FrameTooLarge { len, max } => {
-                write!(f, "frame of {len} octets exceeds the {max}-octet limit")
-            }
         }
     }
 }

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod framing;
 mod header;
 pub mod ip;
 mod message;

@@ -8,7 +8,6 @@
 //! messages, tolerating arbitrary segmentation (the hard part of TCP
 //! reassembly).
 
-use crate::framing::{encode_frame_into, Reassembler, U16Prefix};
 use crate::{Message, Result, WireError};
 
 /// Maximum frame payload: the length prefix is 16 bits.
@@ -19,31 +18,26 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
     let body = msg.to_bytes()?;
     debug_assert!(body.len() <= MAX_FRAME, "to_bytes enforces the limit");
     let mut out = Vec::with_capacity(2 + body.len());
-    encode_frame_into::<U16Prefix>(&body, &mut out);
+    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
+    out.extend_from_slice(&body);
     Ok(out)
 }
 
 /// Incremental decoder for a TCP byte stream carrying DNS frames.
 ///
 /// Feed arbitrary chunks with [`FrameDecoder::push`]; complete messages
-/// come out of [`FrameDecoder::next_message`]. Buffered bytes are bounded
-/// by one frame (≤64 KiB + 2). Reassembly itself is the generic
-/// [`Reassembler`]; this type adds the DNS policy: a frame must hold a
-/// parseable message, and an empty frame is an error.
-#[derive(Debug)]
+/// come out of [`FrameDecoder::next_message`]. The decoder keeps a read
+/// offset into its buffer and compacts only once the consumed prefix
+/// outweighs the unread tail, so buffered bytes stay bounded by about
+/// one frame plus one chunk and decoding is linear in the stream length.
+/// A frame must hold a parseable message, and an empty frame is an error.
+#[derive(Debug, Default)]
 pub struct FrameDecoder {
-    frames: Reassembler<U16Prefix>,
+    buf: Vec<u8>,
+    /// Read offset into `buf`: everything before it is consumed.
+    pos: usize,
     /// Frames successfully decoded so far.
     decoded: u64,
-}
-
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        FrameDecoder {
-            frames: Reassembler::new(MAX_FRAME),
-            decoded: 0,
-        }
-    }
 }
 
 impl FrameDecoder {
@@ -54,12 +48,18 @@ impl FrameDecoder {
 
     /// Append stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.frames.push(bytes);
+        let unread = self.buffered();
+        if self.pos > 0 && self.pos >= unread {
+            self.buf.copy_within(self.pos.., 0);
+            self.buf.truncate(unread);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered (incomplete frame).
     pub fn buffered(&self) -> usize {
-        self.frames.buffered()
+        self.buf.len() - self.pos
     }
 
     /// Frames decoded over the decoder's lifetime.
@@ -74,9 +74,15 @@ impl FrameDecoder {
     /// stream stays synchronized (the length prefix delimits frames
     /// regardless of their content).
     pub fn next_message(&mut self) -> Result<Option<Message>> {
-        let Some(frame) = self.frames.next_frame()? else {
+        let rest = &self.buf[self.pos..];
+        let Some(&[hi, lo]) = rest.get(..2) else {
             return Ok(None);
         };
+        let len = u16::from_be_bytes([hi, lo]) as usize;
+        let Some(frame) = rest.get(2..2 + len) else {
+            return Ok(None);
+        };
+        self.pos += 2 + len;
         if frame.is_empty() {
             // A zero-length frame can never hold a DNS header; the frame
             // is already consumed, so the stream stays aligned.
@@ -84,7 +90,7 @@ impl FrameDecoder {
                 what: "empty TCP frame",
             });
         }
-        let msg = Message::parse(&frame)?;
+        let msg = Message::parse(frame)?;
         self.decoded += 1;
         Ok(Some(msg))
     }
@@ -199,6 +205,14 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&stream);
         assert_eq!(dec.drain_messages(), msgs);
+    }
+
+    #[test]
+    fn u16_matches_tcp_layout() {
+        let frame = encode_frame(&sample(3)).unwrap();
+        let body = sample(3).to_bytes().unwrap();
+        assert_eq!(frame[..2], (body.len() as u16).to_be_bytes());
+        assert_eq!(frame[2..], body[..]);
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub trait FeedItem: Sized + Send + 'static {
     fn order_time(&self) -> f64;
 }
 
-/// A cursor over a frame payload with bounds-checked primitive reads.
+/// A cursor over a payload with bounds-checked little-endian primitive
+/// reads.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -49,6 +50,14 @@ impl<'a> ByteReader<'a> {
     /// True when every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
+    }
+
+    /// End of a payload: every byte must have been consumed.
+    pub fn finish(&self) -> Result<(), FeedError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(FeedError::TrailingBytes(n)),
+        }
     }
 
     /// Take the next `n` bytes as a slice.

@@ -3,8 +3,7 @@
 //! sequence numbers, and merges the concurrent streams into one
 //! time-ordered feed.
 //!
-//! Structure (mirroring the core pipeline's std-thread + crossbeam
-//! style):
+//! Structure (std threads joined by `std::sync::mpsc` channels):
 //!
 //! ```text
 //! accept thread ──spawns──▶ reader thread per connection
@@ -23,11 +22,11 @@ use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Clock, FlightRecorder, RateLimiter, Registry, SystemClock};
 
@@ -650,8 +649,8 @@ impl<T: FeedItem> Collector<T> {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (event_tx, event_rx) = unbounded::<Event<T>>();
-        let (out_tx, out_rx) = unbounded::<T>();
+        let (event_tx, event_rx) = channel::<Event<T>>();
+        let (out_tx, out_rx) = channel::<T>();
 
         let accept = {
             let stop = Arc::clone(&stop);
@@ -800,12 +799,12 @@ fn reader_loop<T: FeedItem>(
                 }
                 Ok(None) => break,
                 Err(error) => {
-                    let fatal = matches!(error, FeedError::Framing(_));
+                    let fatal = error.is_fatal();
                     if events.send(Event::BadFrame { conn, error }).is_err() {
                         break 'conn;
                     }
                     if fatal {
-                        // A corrupt length prefix poisons the stream;
+                        // A corrupt envelope header poisons the stream;
                         // drop the connection, the sensor will reconnect.
                         break 'conn;
                     }

@@ -9,8 +9,13 @@ use std::fmt;
 /// sockets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FeedError {
-    /// The stream-framing layer failed (oversized frame prefix).
-    Framing(dnswire::WireError),
+    /// An envelope declared a payload longer than its format's maximum.
+    TooLarge {
+        /// Declared payload length.
+        len: usize,
+        /// The format's maximum.
+        max: usize,
+    },
     /// A frame payload ended before a complete field could be read.
     Truncated(&'static str),
     /// The frame checksum did not match its content.
@@ -20,11 +25,11 @@ pub enum FeedError {
         /// CRC computed over the received payload.
         computed: u32,
     },
-    /// A HELLO frame did not start with the protocol magic.
+    /// An envelope did not start with its format's magic.
     BadMagic([u8; 4]),
-    /// The peer speaks an incompatible protocol revision.
+    /// An envelope carries an incompatible format version.
     BadProtocolVersion {
-        /// Version in the HELLO frame.
+        /// Version in the envelope header.
         got: u8,
         /// Version this build implements.
         want: u8,
@@ -50,7 +55,9 @@ pub enum FeedError {
 impl fmt::Display for FeedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FeedError::Framing(e) => write!(f, "stream framing: {e}"),
+            FeedError::TooLarge { len, max } => {
+                write!(f, "envelope declares {len} payload octets (maximum {max})")
+            }
             FeedError::Truncated(what) => write!(f, "frame truncated while reading {what}"),
             FeedError::Crc { expected, computed } => {
                 write!(
@@ -58,7 +65,7 @@ impl fmt::Display for FeedError {
                     "crc mismatch: frame says {expected:#010x}, computed {computed:#010x}"
                 )
             }
-            FeedError::BadMagic(m) => write!(f, "bad hello magic {m:02x?}"),
+            FeedError::BadMagic(m) => write!(f, "bad envelope magic {m:02x?}"),
             FeedError::BadProtocolVersion { got, want } => {
                 write!(f, "protocol version {got} (this build speaks {want})")
             }
@@ -75,8 +82,16 @@ impl fmt::Display for FeedError {
 
 impl std::error::Error for FeedError {}
 
-impl From<dnswire::WireError> for FeedError {
-    fn from(e: dnswire::WireError) -> Self {
-        FeedError::Framing(e)
+impl FeedError {
+    /// True when the envelope header itself was bad, so the stream can
+    /// never realign: the reader repeats the error on every later call
+    /// and the connection should be dropped.
+    pub fn is_fatal(&self) -> bool {
+        matches!(
+            self,
+            FeedError::TooLarge { .. }
+                | FeedError::BadMagic(_)
+                | FeedError::BadProtocolVersion { .. }
+        )
     }
 }

@@ -1,26 +1,32 @@
-//! Frame layer: HELLO / BATCH / BYE payloads inside 32-bit length-prefixed
-//! stream frames, each ending in a CRC-32 trailer.
+//! Frame layer: HELLO / BATCH / BYE payloads inside `DOF1` envelopes
+//! (see [`crate::envelope`]).
 //!
 //! The layer is sans-io: [`encode_frame`] appends bytes to a buffer and
 //! [`FrameReader`] consumes arbitrary stream chunks, so the whole protocol
 //! round-trips in memory (and in CI) without a socket.
 
 use crate::codec::{ByteReader, FeedItem};
-use crate::crc32::crc32;
+use crate::envelope::{Decoder, Format, Framed};
 use crate::error::FeedError;
 use crate::varint;
-use dnswire::framing::{encode_frame_into, Reassembler, U32Prefix};
 
-/// Protocol magic carried in HELLO frames.
+/// Envelope magic of feed frames.
 pub const MAGIC: [u8; 4] = *b"DOF1";
 
-/// Frame-layer protocol revision.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Frame-layer protocol revision, carried in every envelope header.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Largest acceptable frame payload. A batch of 4096 worst-case DNS
 /// summaries stays well below this; anything larger is a corrupted or
-/// hostile length prefix.
+/// hostile length.
 pub const MAX_FRAME: usize = 4 << 20;
+
+/// The feed's envelope.
+pub const FORMAT: Format = Format {
+    magic: MAGIC,
+    version: PROTOCOL_VERSION,
+    max_len: MAX_FRAME,
+};
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_BATCH: u8 = 2;
@@ -29,8 +35,8 @@ const TYPE_BYE: u8 = 3;
 /// One decoded feed frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<T> {
-    /// Stream opener: version negotiation plus the sender's identity and
-    /// the sequence number its next batch will carry (re-sent on every
+    /// Stream opener: the item codec plus the sender's identity and the
+    /// sequence number its next batch will carry (re-sent on every
     /// reconnect).
     Hello {
         /// Sensor identity (stable across reconnects).
@@ -74,29 +80,23 @@ impl<T> Frame<T> {
     }
 }
 
-/// Append `frame` to `out` as one length-prefixed stream frame.
+/// Append `frame` to `out` as one envelope.
 pub fn encode_frame<T: FeedItem>(frame: &Frame<T>, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(64);
-    match frame {
+    FORMAT.write(out, |payload| match frame {
         Frame::Hello {
             sensor,
             next_seq,
             item_version,
         } => {
             payload.push(TYPE_HELLO);
-            payload.extend_from_slice(&MAGIC);
-            payload.push(PROTOCOL_VERSION);
             payload.push(*item_version);
-            varint::write_u64(*sensor, &mut payload);
-            varint::write_u64(*next_seq, &mut payload);
+            varint::write_u64(*sensor, payload);
+            varint::write_u64(*next_seq, payload);
         }
         Frame::Batch { sensor, seq, items } => {
-            payload.push(TYPE_BATCH);
-            varint::write_u64(*sensor, &mut payload);
-            varint::write_u64(*seq, &mut payload);
-            varint::write_u64(items.len() as u64, &mut payload);
+            batch_header(*sensor, *seq, items.len() as u64, payload);
             for item in items {
-                item.encode(&mut payload);
+                item.encode(payload);
             }
         }
         Frame::Bye {
@@ -106,16 +106,19 @@ pub fn encode_frame<T: FeedItem>(frame: &Frame<T>, out: &mut Vec<u8>) {
             dropped_items,
         } => {
             payload.push(TYPE_BYE);
-            varint::write_u64(*sensor, &mut payload);
-            varint::write_u64(*next_seq, &mut payload);
-            varint::write_u64(*dropped_frames, &mut payload);
-            varint::write_u64(*dropped_items, &mut payload);
+            varint::write_u64(*sensor, payload);
+            varint::write_u64(*next_seq, payload);
+            varint::write_u64(*dropped_frames, payload);
+            varint::write_u64(*dropped_items, payload);
         }
-    }
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    debug_assert!(payload.len() <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    encode_frame_into::<U32Prefix>(&payload, out);
+    });
+}
+
+fn batch_header(sensor: u64, seq: u64, count: u64, payload: &mut Vec<u8>) {
+    payload.push(TYPE_BATCH);
+    varint::write_u64(sensor, payload);
+    varint::write_u64(seq, payload);
+    varint::write_u64(count, payload);
 }
 
 /// Append a BATCH frame whose `count` items are already encoded
@@ -129,46 +132,18 @@ pub(crate) fn encode_batch_preencoded(
     items: &[u8],
     out: &mut Vec<u8>,
 ) {
-    let mut payload = Vec::with_capacity(items.len() + 16);
-    payload.push(TYPE_BATCH);
-    varint::write_u64(sensor, &mut payload);
-    varint::write_u64(seq, &mut payload);
-    varint::write_u64(count, &mut payload);
-    payload.extend_from_slice(items);
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    debug_assert!(payload.len() <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    encode_frame_into::<U32Prefix>(&payload, out);
+    FORMAT.write(out, |payload| {
+        batch_header(sensor, seq, count, payload);
+        payload.extend_from_slice(items);
+    });
 }
 
-/// Decode one frame payload (the bytes between length prefix and end,
-/// CRC trailer included).
+/// Decode one frame payload (the envelope's payload, CRC already
+/// verified).
 pub fn decode_payload<T: FeedItem>(payload: &[u8]) -> Result<Frame<T>, FeedError> {
-    if payload.len() < 5 {
-        return Err(FeedError::Truncated("frame header"));
-    }
-    let (body, trailer) = payload.split_at(payload.len() - 4);
-    let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let computed = crc32(body);
-    if expected != computed {
-        return Err(FeedError::Crc { expected, computed });
-    }
-    let mut r = ByteReader::new(body);
+    let mut r = ByteReader::new(payload);
     let frame = match r.u8("frame type")? {
         TYPE_HELLO => {
-            let magic = r.bytes(4, "hello magic")?;
-            if magic != MAGIC {
-                return Err(FeedError::BadMagic([
-                    magic[0], magic[1], magic[2], magic[3],
-                ]));
-            }
-            let protocol = r.u8("protocol version")?;
-            if protocol != PROTOCOL_VERSION {
-                return Err(FeedError::BadProtocolVersion {
-                    got: protocol,
-                    want: PROTOCOL_VERSION,
-                });
-            }
             let item_version = r.u8("item version")?;
             if item_version != T::ITEM_VERSION {
                 return Err(FeedError::BadItemVersion {
@@ -200,68 +175,21 @@ pub fn decode_payload<T: FeedItem>(payload: &[u8]) -> Result<Frame<T>, FeedError
         },
         other => return Err(FeedError::BadFrameType(other)),
     };
-    if !r.is_empty() {
-        return Err(FeedError::TrailingBytes(r.remaining()));
-    }
+    r.finish()?;
     Ok(frame)
 }
 
-/// Incremental frame decoder over a byte stream.
-///
-/// Like [`dnswire::tcp::FrameDecoder`] but for feed frames: push arbitrary
-/// chunks, pop decoded [`Frame`]s. A payload that fails its CRC or its
-/// decode is consumed (the length prefix keeps the stream aligned) and
-/// reported as an error; an oversized length prefix is unrecoverable and
-/// the connection should be dropped.
-#[derive(Debug)]
-pub struct FrameReader<T> {
-    frames: Reassembler<U32Prefix>,
-    decoded: u64,
-    _item: std::marker::PhantomData<fn() -> T>,
-}
+impl<T: FeedItem> Framed for Frame<T> {
+    const FORMAT: Format = FORMAT;
 
-impl<T: FeedItem> Default for FrameReader<T> {
-    fn default() -> Self {
-        FrameReader {
-            frames: Reassembler::new(MAX_FRAME),
-            decoded: 0,
-            _item: std::marker::PhantomData,
-        }
+    fn decode_payload(payload: &[u8]) -> Result<Self, FeedError> {
+        decode_payload(payload)
     }
 }
 
-impl<T: FeedItem> FrameReader<T> {
-    /// Fresh reader.
-    pub fn new() -> FrameReader<T> {
-        FrameReader::default()
-    }
-
-    /// Append stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.frames.push(bytes);
-    }
-
-    /// Bytes buffered towards an incomplete frame.
-    pub fn buffered(&self) -> usize {
-        self.frames.buffered()
-    }
-
-    /// Frames decoded successfully over the reader's lifetime.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Try to decode the next complete frame; `Ok(None)` means more bytes
-    /// are needed.
-    pub fn next_frame(&mut self) -> Result<Option<Frame<T>>, FeedError> {
-        let Some(payload) = self.frames.next_frame()? else {
-            return Ok(None);
-        };
-        let frame = decode_payload(&payload)?;
-        self.decoded += 1;
-        Ok(Some(frame))
-    }
-}
+/// Incremental frame decoder over a byte stream: push arbitrary chunks,
+/// pop decoded [`Frame`]s. Error semantics are the envelope's.
+pub type FrameReader<T> = Decoder<Frame<T>>;
 
 #[cfg(test)]
 mod tests {
@@ -338,15 +266,15 @@ mod tests {
         encode_frame(&batch(0, &[7]), &mut stream);
         let first_len = stream.len();
         encode_frame(&batch(1, &[8]), &mut stream);
-        // Flip one byte inside the first frame's payload (past the 4-byte
-        // length prefix).
-        stream[5] ^= 0xff;
+        // Flip one byte inside the first frame's payload (past the
+        // 9-byte envelope header).
+        stream[10] ^= 0xff;
         let mut reader = FrameReader::<TestItem>::new();
         reader.push(&stream);
         assert!(matches!(reader.next_frame(), Err(FeedError::Crc { .. })));
+        assert_eq!(reader.buffered(), stream.len() - first_len);
         // The second frame still decodes: alignment survived.
         assert_eq!(reader.next_frame().unwrap(), Some(batch(1, &[8])));
-        let _ = first_len;
     }
 
     #[test]
@@ -371,7 +299,29 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_fatal() {
         let mut reader = FrameReader::<TestItem>::new();
-        reader.push(&(MAX_FRAME as u32 + 1).to_be_bytes());
-        assert!(matches!(reader.next_frame(), Err(FeedError::Framing(_))));
+        reader.push(&MAGIC);
+        reader.push(&[PROTOCOL_VERSION]);
+        reader.push(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let err = reader.next_frame().unwrap_err();
+        assert!(matches!(err, FeedError::TooLarge { .. }) && err.is_fatal());
+    }
+
+    /// A HELLO + BATCH stream in the version-1 layout (u32 BE length
+    /// prefix, magic inside the HELLO body), as the previous release
+    /// wrote it. It must be refused with a typed, fatal error.
+    #[test]
+    fn version_1_stream_is_rejected() {
+        let v1 = "0000000d01444f463101070900847b97c70000001802090001010000000000\
+                  0000000000000000f03f8ee64c90";
+        let bytes: Vec<u8> = (0..v1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&v1[i..i + 2], 16).unwrap())
+            .collect();
+        let mut reader = FrameReader::<TestItem>::new();
+        reader.push(&bytes);
+        let err = reader.next_frame().unwrap_err();
+        assert_eq!(err, FeedError::BadMagic([0, 0, 0, 0x0d]));
+        assert!(err.is_fatal());
+        assert_eq!(reader.next_frame().unwrap_err(), err, "sticky");
     }
 }

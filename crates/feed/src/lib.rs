@@ -6,17 +6,18 @@
 //! SIE feed, paper §2.1). This crate reproduces that A→B boundary of
 //! Figure 1 as a real transport:
 //!
-//! * a versioned, length-prefixed binary **frame codec** — compact
-//!   varint/fixed encoding, per-frame batches, CRC-32 integrity, and
-//!   per-sensor monotone sequence numbers — usable over any
-//!   [`std::io::Read`]/[`std::io::Write`], so every path is testable
-//!   in-memory ([`frame`], [`codec`]);
+//! * a versioned binary **frame codec** — compact varint/fixed encoding,
+//!   per-frame batches, and per-sensor monotone sequence numbers inside
+//!   the CRC-checked [`envelope`] that every binary state format of the
+//!   workspace shares — usable over any [`std::io::Read`]/
+//!   [`std::io::Write`], so every path is testable in-memory ([`frame`],
+//!   [`codec`]);
 //! * a [`Sensor`] client with a bounded send buffer (drop accounting when
 //!   full, like a real tap that must never stall the resolver) and
 //!   reconnect with exponential backoff plus jitter ([`sensor`],
 //!   [`backoff`]);
-//! * a [`Collector`] TCP server (std::net + threads + crossbeam channels,
-//!   matching the core pipeline's threading style) that accepts many
+//! * a [`Collector`] TCP server (std::net + threads + `std::sync::mpsc`
+//!   channels) that accepts many
 //!   sensor connections, detects sequence gaps and CRC failures per
 //!   sensor, and merges the concurrent streams back into one
 //!   time-ordered feed ([`collector`], [`merge`]).
@@ -28,15 +29,11 @@
 //!
 //! # Wire format
 //!
-//! Every frame is a 32-bit big-endian length prefix (reusing
-//! [`dnswire::framing`]) followed by a payload that always ends in a
-//! CRC-32 of everything before it:
+//! Every frame is one [`envelope`] with magic `DOF1` and version
+//! [`PROTOCOL_VERSION`], whose payload is a type octet and a body:
 //!
 //! ```text
-//! | u32 len | type u8 | body ... | crc32 u32 LE |
-//!
-//! HELLO body:  magic "DOF1" | protocol u8 | item version u8
-//!              | sensor varint | next_seq varint
+//! HELLO body:  item version u8 | sensor varint | next_seq varint
 //! BATCH body:  sensor varint | seq varint | count varint | count × item
 //! BYE body:    sensor varint | next_seq varint
 //!              | dropped_frames varint | dropped_items varint
@@ -53,6 +50,7 @@ pub mod backoff;
 pub mod codec;
 pub mod collector;
 pub mod crc32;
+pub mod envelope;
 pub mod error;
 pub mod frame;
 pub mod machine;

@@ -697,7 +697,7 @@ fn drop_frame(metrics: &Option<Metrics>, client: &mut Client, n: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_payload, FrameReader};
+    use crate::codec::FrameReader;
     use crate::delta::apply_delta;
     use sketchwire::{FeatureState, TopKEntry};
 
@@ -1008,8 +1008,11 @@ mod tests {
         let byes = actions
             .iter()
             .filter(|a| {
-                matches!(a, Action::Send { frame, .. }
-                    if matches!(decode_payload(&frame[4..]), Ok(Frame::Bye)))
+                matches!(a, Action::Send { frame, .. } if {
+                    let mut rd = FrameReader::new();
+                    rd.push(frame);
+                    matches!(rd.next_frame(), Ok(Some(Frame::Bye)))
+                })
             })
             .count();
         assert_eq!(byes, 1, "only the still-connected client gets a Bye");

@@ -8,7 +8,7 @@ use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use feed::FeedItem;
 use sketchwire::WindowState;
 
-use crate::codec::{encode_frame_vec, Frame, FrameReader, Topic, PROTOCOL_VERSION};
+use crate::codec::{encode_frame_vec, Frame, FrameReader, Topic};
 use crate::subscriber::{feed_io_err, io_err, SubEvent, SubscriberCore};
 
 /// A connected, handshaken subscriber.
@@ -27,7 +27,6 @@ impl SubscribeClient {
         let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         stream.write_all(&encode_frame_vec(&Frame::Hello {
-            protocol: PROTOCOL_VERSION,
             item_version: WindowState::ITEM_VERSION,
         }))?;
         stream.write_all(&encode_frame_vec(&Frame::Subscribe {

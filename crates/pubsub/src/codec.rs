@@ -1,36 +1,42 @@
-//! The subscription wire format: versioned, CRC-framed `DOP1` frames.
+//! The subscription wire format: `DOP1` frames.
 //!
-//! Same discipline as the sensor→collector feed codec: every frame is a
-//! `u32`-length-prefixed payload of `type byte + body + crc32`, decoded
-//! through the shared [`dnswire::framing`] reassembler so partial reads,
-//! oversized prefixes and CRC damage all surface as typed errors with the
-//! stream left aligned on the next frame. Snapshots reuse the federation
-//! tier's [`WindowState`] item encoding verbatim; deltas carry the
-//! [`WindowDelta`] body.
+//! Every frame is one [`feed::envelope`] whose payload is a type octet and
+//! a body, so partial reads, oversized lengths and CRC damage surface as
+//! the envelope's typed errors with the stream left aligned on the next
+//! frame. Snapshots reuse the federation tier's [`WindowState`] item
+//! encoding verbatim; deltas carry the [`WindowDelta`] body.
 //!
-//! Handshake: the client speaks first — `Hello` (magic + versions) then
+//! Handshake: the client speaks first — `Hello` (item version) then
 //! `Subscribe` (topic list); the broker answers with its own `Hello` and
 //! starts pushing. `Evict` and `Bye` are terminal notices from the broker.
 
 use std::fmt;
 
 use feed::codec::write_varint;
-use feed::crc32::crc32;
+use feed::envelope::{Decoder, Format, Framed};
 use feed::{ByteReader, FeedError, FeedItem};
 use sketchwire::WindowState;
 
 use crate::delta::WindowDelta;
 
-/// Wire magic carried in `Hello`: **D**NS **O**bservatory **P**ub/sub v1.
+/// Envelope magic: **D**NS **O**bservatory **P**ub/sub.
 pub const MAGIC: [u8; 4] = *b"DOP1";
 
-/// Codec version carried in `Hello`; bumped on layout changes.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Codec version carried in every envelope header; bumped on layout
+/// changes.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard ceiling on one frame. Snapshots carry a whole per-dataset window
 /// (the broker reassembles collector chunks before publishing), so the
 /// cap is generous; anything larger is corruption, not data.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// The pub/sub envelope.
+pub const FORMAT: Format = Format {
+    magic: MAGIC,
+    version: PROTOCOL_VERSION,
+    max_len: MAX_FRAME,
+};
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_SUBSCRIBE: u8 = 2;
@@ -181,12 +187,10 @@ impl fmt::Display for EvictReason {
 /// One pub/sub frame, either direction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Version handshake; first frame in each direction. Decode enforces
-    /// magic and version equality, so a parsed `Hello` is a compatible
-    /// one.
+    /// Version handshake; first frame in each direction. The envelope
+    /// enforces magic and protocol version and decode enforces the item
+    /// version, so a parsed `Hello` is a compatible one.
     Hello {
-        /// Codec version (always [`PROTOCOL_VERSION`] after decode).
-        protocol: u8,
         /// [`WindowState`] item version the peer speaks.
         item_version: u8,
     },
@@ -219,38 +223,32 @@ pub enum Frame {
     Bye,
 }
 
-/// Encode one frame, length-prefixed and CRC-trailed, appending to `out`.
+/// Encode one frame as an envelope, appending to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    match frame {
-        Frame::Hello {
-            protocol,
-            item_version,
-        } => {
+    FORMAT.write(out, |payload| match frame {
+        Frame::Hello { item_version } => {
             payload.push(TYPE_HELLO);
-            payload.extend_from_slice(&MAGIC);
-            payload.push(*protocol);
             payload.push(*item_version);
         }
         Frame::Subscribe { topics } => {
             payload.push(TYPE_SUBSCRIBE);
-            write_varint(topics.len() as u64, &mut payload);
+            write_varint(topics.len() as u64, payload);
             for t in topics {
-                t.encode(&mut payload);
+                t.encode(payload);
             }
         }
         Frame::Snapshot(state) => {
             payload.push(TYPE_SNAPSHOT);
-            state.encode(&mut payload);
+            state.encode(payload);
         }
         Frame::Delta(delta) => {
             payload.push(TYPE_DELTA);
-            delta.encode(&mut payload);
+            delta.encode(payload);
         }
         Frame::Meta { start_us, bytes } => {
             payload.push(TYPE_META);
-            write_varint(*start_us, &mut payload);
-            write_varint(bytes.len() as u64, &mut payload);
+            write_varint(*start_us, payload);
+            write_varint(bytes.len() as u64, payload);
             payload.extend_from_slice(bytes);
         }
         Frame::Evict {
@@ -259,13 +257,10 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
         } => {
             payload.push(TYPE_EVICT);
             payload.push(reason.code());
-            write_varint(*undelivered, &mut payload);
+            write_varint(*undelivered, payload);
         }
         Frame::Bye => payload.push(TYPE_BYE),
-    }
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    dnswire::framing::encode_frame_into::<dnswire::framing::U32Prefix>(&payload, out);
+    });
 }
 
 /// Convenience: encode one frame into a fresh buffer.
@@ -275,34 +270,11 @@ pub fn encode_frame_vec(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Decode one reassembled payload (length prefix already stripped).
+/// Decode one envelope payload (CRC already verified).
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, FeedError> {
-    if payload.len() < 5 {
-        return Err(FeedError::Truncated("pubsub frame"));
-    }
-    let (body, crc_bytes) = payload.split_at(payload.len() - 4);
-    let expected = u32::from_le_bytes(crc_bytes.try_into().expect("4 crc bytes"));
-    let computed = crc32(body);
-    if expected != computed {
-        return Err(FeedError::Crc { expected, computed });
-    }
-    let mut r = ByteReader::new(body);
+    let mut r = ByteReader::new(payload);
     let frame = match r.u8("frame type")? {
         TYPE_HELLO => {
-            let magic: [u8; 4] = r
-                .bytes(4, "hello magic")?
-                .try_into()
-                .expect("4 magic bytes");
-            if magic != MAGIC {
-                return Err(FeedError::BadMagic(magic));
-            }
-            let protocol = r.u8("hello protocol")?;
-            if protocol != PROTOCOL_VERSION {
-                return Err(FeedError::BadProtocolVersion {
-                    got: protocol,
-                    want: PROTOCOL_VERSION,
-                });
-            }
             let item_version = r.u8("hello item version")?;
             if item_version != WindowState::ITEM_VERSION {
                 return Err(FeedError::BadItemVersion {
@@ -310,10 +282,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FeedError> {
                     want: WindowState::ITEM_VERSION,
                 });
             }
-            Frame::Hello {
-                protocol,
-                item_version,
-            }
+            Frame::Hello { item_version }
         }
         TYPE_SUBSCRIBE => {
             let n = r.count(1, "subscribe topics")?;
@@ -346,73 +315,22 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FeedError> {
         TYPE_BYE => Frame::Bye,
         other => return Err(FeedError::BadFrameType(other)),
     };
-    if !r.is_empty() {
-        return Err(FeedError::TrailingBytes(r.remaining()));
-    }
+    r.finish()?;
     Ok(frame)
 }
 
-/// Incremental frame decoder over arbitrary byte chunks.
-///
-/// Push bytes as they arrive; pull frames as they complete. A frame that
-/// fails CRC or body validation is consumed (the error is returned once
-/// and the stream stays aligned on the next length prefix); an oversized
-/// or malformed length prefix is fatal.
-#[derive(Debug)]
-pub struct FrameReader {
-    inner: Option<dnswire::framing::Reassembler<dnswire::framing::U32Prefix>>,
-    decoded: u64,
-}
+impl Framed for Frame {
+    const FORMAT: Format = FORMAT;
 
-impl Default for FrameReader {
-    fn default() -> FrameReader {
-        FrameReader::new()
+    fn decode_payload(payload: &[u8]) -> Result<Self, FeedError> {
+        decode_payload(payload)
     }
 }
 
-impl FrameReader {
-    /// New reader enforcing [`MAX_FRAME`].
-    pub fn new() -> FrameReader {
-        FrameReader {
-            inner: Some(dnswire::framing::Reassembler::new(MAX_FRAME)),
-            decoded: 0,
-        }
-    }
-
-    /// Feed received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if let Some(inner) = &mut self.inner {
-            inner.push(bytes);
-        }
-    }
-
-    /// Frames successfully decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Pull the next complete frame, `Ok(None)` when more bytes are
-    /// needed.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FeedError> {
-        let inner = match &mut self.inner {
-            Some(inner) => inner,
-            None => return Err(FeedError::Invalid("frame reader poisoned")),
-        };
-        match inner.next_frame() {
-            Ok(Some(payload)) => {
-                let frame = decode_payload(&payload)?;
-                self.decoded += 1;
-                Ok(Some(frame))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => {
-                // A bad length prefix means the stream can never realign.
-                self.inner = None;
-                Err(FeedError::Framing(e))
-            }
-        }
-    }
-}
+/// Incremental frame decoder over arbitrary byte chunks: push bytes as
+/// they arrive, pull frames as they complete. Error semantics are the
+/// envelope's.
+pub type FrameReader = Decoder<Frame>;
 
 #[cfg(test)]
 mod tests {
@@ -453,7 +371,6 @@ mod tests {
     #[test]
     fn frames_roundtrip() {
         roundtrip(Frame::Hello {
-            protocol: PROTOCOL_VERSION,
             item_version: WindowState::ITEM_VERSION,
         });
         roundtrip(Frame::Subscribe {
@@ -497,37 +414,54 @@ mod tests {
         assert_eq!(rd.next_frame().unwrap(), Some(Frame::Bye), "realigned");
     }
 
+    fn envelope(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        FORMAT.write(&mut out, |p| p.extend_from_slice(payload));
+        out
+    }
+
     #[test]
     fn hello_version_mismatch_is_typed() {
-        let mut payload = vec![1u8]; // TYPE_HELLO
-        payload.extend_from_slice(&MAGIC);
-        payload.push(99);
-        payload.push(1);
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
+        let mut bytes = envelope(&[TYPE_BYE]);
+        bytes[4] = 1;
+        let mut rd = FrameReader::new();
+        rd.push(&bytes);
+        let err = rd.next_frame().unwrap_err();
+        assert_eq!(err, FeedError::BadProtocolVersion { got: 1, want: 2 });
+        assert!(err.is_fatal());
         assert!(matches!(
-            decode_payload(&payload),
-            Err(FeedError::BadProtocolVersion { got: 99, .. })
+            decode_payload(&[TYPE_HELLO, 99]),
+            Err(FeedError::BadItemVersion { got: 99, .. })
         ));
     }
 
     #[test]
     fn unknown_type_and_trailing_bytes_are_typed() {
-        let mut payload = vec![42u8];
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(
-            decode_payload(&payload),
+            decode_payload(&[42]),
             Err(FeedError::BadFrameType(42))
         ));
-
-        let mut payload = vec![TYPE_BYE, 0xaa];
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(
-            decode_payload(&payload),
+            decode_payload(&[TYPE_BYE, 0xaa]),
             Err(FeedError::TrailingBytes(1))
         ));
+    }
+
+    /// A `Hello` + `Subscribe` handshake in the version-1 layout (u32 BE
+    /// length prefix, magic inside the `Hello` body), as the previous
+    /// release wrote it. It must be refused with a typed, fatal error.
+    #[test]
+    fn version_1_stream_is_rejected() {
+        let v1 = "0000000b01444f50310101fad2c9f500000007020101ab0cd992";
+        let bytes: Vec<u8> = (0..v1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&v1[i..i + 2], 16).unwrap())
+            .collect();
+        let mut rd = FrameReader::new();
+        rd.push(&bytes);
+        let err = rd.next_frame().unwrap_err();
+        assert_eq!(err, FeedError::BadMagic([0, 0, 0, 0x0b]));
+        assert!(err.is_fatal());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use sketchwire::WindowState;
 use telemetry::{Counter, Registry, TraceRing};
 
 use crate::broker::{Action, BrokerConfig, BrokerCore, BrokerReport};
-use crate::codec::{encode_frame_vec, EvictReason, Frame, FrameReader, Topic, PROTOCOL_VERSION};
+use crate::codec::{encode_frame_vec, EvictReason, Frame, FrameReader, Topic};
 
 /// Serving-tier configuration.
 #[derive(Debug, Clone, Copy)]
@@ -254,7 +254,6 @@ fn handshake(stream: &mut TcpStream, rd: &mut FrameReader) -> Result<Vec<Topic>,
                 (false, Frame::Hello { .. }) => hello_seen = true,
                 (true, Frame::Subscribe { topics }) => {
                     let hello = encode_frame_vec(&Frame::Hello {
-                        protocol: PROTOCOL_VERSION,
                         item_version: WindowState::ITEM_VERSION,
                     });
                     stream.write_all(&hello).map_err(|_| ())?;

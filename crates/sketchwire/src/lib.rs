@@ -13,8 +13,9 @@
 //!   never-panicking codec; [`WindowState`] implements `feed::FeedItem`,
 //!   so state streams ride the existing sensor→collector transport
 //!   (framing, CRC, gap/dup ledgers, reconnect backoff) unchanged.
-//! * [`record`] — the versioned, CRC-framed, length-prefixed at-rest
-//!   record format (files today, historical-store compaction next).
+//! * [`record`] — the at-rest record format: one `SKW1`
+//!   [`feed::envelope`] per window state (state files and store
+//!   segments).
 //! * [`merge`] + [`aggregator`] — associative/commutative merge laws and
 //!   the sans-io [`AggregatorCore`] that aligns N streams on watermark
 //!   frontiers and emits [`GlobalWindow`]s whose error bound is the sum
@@ -32,7 +33,7 @@ pub use aggregator::{
     AggregatorConfig, AggregatorCore, AggregatorReport, GlobalWindow, UpstreamStats, WindowLineage,
 };
 pub use merge::{merge_chunks, merge_features, merge_topk};
-pub use record::{read_all, write_record, RecordReader, MAX_RECORD, RECORD_MAGIC, RECORD_VERSION};
+pub use record::{read_all, write_record, RECORD};
 pub use state::{
     FeatureState, GateState, HistogramState, HllState, StateError, TopKEntry, TopKState,
     TopValuesState, WindowState,

@@ -1,133 +1,99 @@
-//! Versioned, CRC-framed, length-prefixed record streams.
+//! Versioned, CRC-framed record streams of [`WindowState`].
 //!
 //! This is the at-rest form of [`WindowState`] — what `dnsobs collect
 //! --state-out` writes and `dnsobs aggregate --input` reads, and the
-//! serialization substrate the historical store will reuse for
-//! compaction. Layout per record:
-//!
-//! ```text
-//! magic "SKW1" (4) | version u8 | payload_len u32 LE | payload | crc32 u32 LE
-//! ```
-//!
-//! The CRC covers the version byte and the payload, so a flipped length
-//! or version is caught just like flipped payload bytes. Decoding never
-//! panics: every failure is a typed [`FeedError`].
+//! record region of every store segment. Each record is one
+//! [`feed::envelope`] with magic `SKW1`, version 1 and the state's item
+//! encoding as payload. Decoding never panics: every failure is a typed
+//! [`FeedError`].
 
-use feed::{crc32::crc32, ByteReader, FeedError, FeedItem};
+use feed::envelope::Format;
+use feed::{ByteReader, FeedError, FeedItem};
 
 use crate::state::WindowState;
 
-/// Record stream magic.
-pub const RECORD_MAGIC: [u8; 4] = *b"SKW1";
-/// Record format version.
-pub const RECORD_VERSION: u8 = 1;
-/// Hard cap on one record's payload. File records are not bound by the
-/// feed transport's frame cap, but an absurd length is still corruption.
-pub const MAX_RECORD: usize = 64 << 20;
+/// Record envelope. File records are not bound by the feed transport's
+/// frame cap, but an absurd length is still corruption.
+pub const RECORD: Format = Format {
+    magic: *b"SKW1",
+    version: 1,
+    max_len: 64 << 20,
+};
 
 /// Append one record to `out`.
 pub fn write_record(ws: &WindowState, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    ws.encode(&mut payload);
-    out.extend_from_slice(&RECORD_MAGIC);
-    let crc_start = out.len();
-    out.push(RECORD_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    // CRC over version + length + payload.
-    let crc = crc32(&out[crc_start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// Incremental decoder for a record stream: push bytes in, pull whole
-/// records out. Mirrors the feed's `FrameReader` discipline.
-#[derive(Debug, Default)]
-pub struct RecordReader {
-    buf: Vec<u8>,
-    decoded: u64,
-}
-
-impl RecordReader {
-    /// New empty reader.
-    pub fn new() -> RecordReader {
-        RecordReader::default()
-    }
-
-    /// Append raw stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a decoded record.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Records decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Decode the next whole record, `Ok(None)` if more bytes are needed.
-    /// Errors are fatal for the stream (framing is lost after a bad
-    /// header or CRC).
-    pub fn next_record(&mut self) -> Result<Option<WindowState>, FeedError> {
-        // magic + version + len
-        if self.buf.len() < 9 {
-            return Ok(None);
-        }
-        if self.buf[..4] != RECORD_MAGIC {
-            let mut magic = [0u8; 4];
-            magic.copy_from_slice(&self.buf[..4]);
-            return Err(FeedError::BadMagic(magic));
-        }
-        let version = self.buf[4];
-        if version != RECORD_VERSION {
-            return Err(FeedError::BadItemVersion {
-                got: version,
-                want: RECORD_VERSION,
-            });
-        }
-        let len = u32::from_le_bytes([self.buf[5], self.buf[6], self.buf[7], self.buf[8]]) as usize;
-        if len > MAX_RECORD {
-            return Err(FeedError::Invalid("record payload too large"));
-        }
-        let total = 9 + len + 4;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let expected = u32::from_le_bytes([
-            self.buf[9 + len],
-            self.buf[10 + len],
-            self.buf[11 + len],
-            self.buf[12 + len],
-        ]);
-        let computed = crc32(&self.buf[4..9 + len]);
-        if expected != computed {
-            return Err(FeedError::Crc { expected, computed });
-        }
-        let mut r = ByteReader::new(&self.buf[9..9 + len]);
-        let ws = WindowState::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(FeedError::TrailingBytes(r.remaining()));
-        }
-        self.buf.drain(..total);
-        self.decoded += 1;
-        Ok(Some(ws))
-    }
+    RECORD.write(out, |payload| ws.encode(payload));
 }
 
 /// Decode a complete record stream strictly: every byte must belong to a
 /// valid record (a truncated tail is a [`FeedError::Truncated`]).
 pub fn read_all(bytes: &[u8]) -> Result<Vec<WindowState>, FeedError> {
-    let mut reader = RecordReader::new();
-    reader.push(bytes);
-    let mut out = Vec::new();
-    while let Some(ws) = reader.next_record()? {
-        out.push(ws);
+    RECORD.decode_all(bytes, |payload| {
+        let mut r = ByteReader::new(payload);
+        let ws = WindowState::decode(&mut r)?;
+        r.finish()?;
+        Ok(ws)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::{FeatureState, TopKEntry, TopKState};
+
+    /// One record as the previous release wrote it; `--state-out` files
+    /// and segment record regions must stay byte-identical.
+    const GOLDEN: &str = "534b57310142000000010000000000c082400000000000c082400465736c640814\
+                          0002000a000000010109612e6578616d706c6505010000000000000000020301\
+                          0102000401010000000022088323";
+
+    fn golden_state() -> WindowState {
+        WindowState {
+            upstream: 1,
+            start: 600.0,
+            length: 600.0,
+            topk: TopKState {
+                dataset: "esld".to_string(),
+                capacity: 8,
+                observed: 20,
+                min_count: 0,
+                error_bound: 2,
+                evictions: 0,
+                kept: 10,
+                dropped: 0,
+                filtered: 0,
+                chunk: 0,
+                chunks: 1,
+                entries: vec![TopKEntry {
+                    key: "a.example".to_string(),
+                    count: 5,
+                    error: 1,
+                    inserted_at: 0.0,
+                    features: FeatureState {
+                        adds: vec![3, 1],
+                        maxes: vec![2],
+                        hlls: vec![],
+                        source_cap: 4,
+                        sources: vec![1],
+                        tops: vec![],
+                        hists: vec![],
+                    },
+                }],
+                gate: None,
+            },
+        }
     }
-    if reader.buffered() > 0 {
-        return Err(FeedError::Truncated("partial trailing record"));
+
+    #[test]
+    fn golden_record_decodes_and_reencodes_identically() {
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let states = read_all(&golden).expect("golden record decodes");
+        assert_eq!(states, vec![golden_state()]);
+        let mut again = Vec::new();
+        write_record(&states[0], &mut again);
+        assert_eq!(again, golden);
     }
-    Ok(out)
 }

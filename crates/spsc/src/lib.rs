@@ -7,9 +7,8 @@
 //! cheapest possible hand-off: a fixed-capacity ring where the producer
 //! owns the tail index, the consumer owns the head index, and a transfer
 //! costs one slot write plus one release store — no locks, no CAS, no
-//! syscalls in the steady state. The workspace's `crossbeam-channel`
-//! stand-in (a `Mutex` + `Condvar` MPMC queue, see `stubs/README.md`)
-//! takes a lock and often a futex wake *per message*; measured on the
+//! syscalls in the steady state. A `Mutex` + `Condvar` MPMC queue takes
+//! a lock and often a futex wake *per message*; measured on the
 //! committed `BENCH_pipeline.json` grid that overhead inverted the
 //! scaling curve (workers=2 ran at half the single-threaded rate).
 //!

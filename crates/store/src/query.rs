@@ -171,7 +171,9 @@ pub fn windows_in(
 }
 
 /// History of one object: its per-window presence over `[t0_us, t1_us)`,
-/// plus the summed error bound over every window the object appears in.
+/// plus the summed per-point `error`. Each point states
+/// `count − error ≤ true ≤ count`, so the key's true total lies in
+/// `[Σcount − Σerror, Σcount]`.
 pub fn history(
     store: &Store,
     dataset: &str,
@@ -181,12 +183,12 @@ pub fn history(
 ) -> Result<(Vec<HistoryPoint>, u64, QueryStats), StoreError> {
     let (groups, stats) = windows_in(store, dataset, t0_us, t1_us, Some(key.as_bytes()))?;
     let mut points = Vec::new();
-    let mut total_bound = 0u64;
+    let mut total_error = 0u64;
     for g in groups {
         let Some(e) = g.state.entries.iter().find(|e| e.key == key) else {
             continue;
         };
-        total_bound = total_bound.saturating_add(g.state.error_bound);
+        total_error = total_error.saturating_add(e.error);
         points.push(HistoryPoint {
             start: g.start,
             length: g.length,
@@ -197,7 +199,7 @@ pub fn history(
             error_bound: g.state.error_bound,
         });
     }
-    Ok((points, total_bound, stats))
+    Ok((points, total_error, stats))
 }
 
 /// The window of `dataset` covering instant `at_us`, if any.

@@ -7,8 +7,8 @@
 //! ```text
 //! header  (8)  "DOSG" | version u8 | level u8 | reserved u16
 //! records (..) N × SKW1 record            (sketchwire::write_record)
-//! footer  (..) "DOSF" | payload_len u32 LE | payload | crc32 u32 LE
-//! trailer (8)  footer_frame_len u32 LE | "DOSE"
+//! footer  (..) one "DOSF" envelope        (feed::envelope)
+//! trailer (8)  footer_envelope_len u32 LE | "DOSE"
 //! ```
 //!
 //! The footer payload carries the segment's time range, window and
@@ -23,25 +23,31 @@
 
 use crate::bloom::KeyBloom;
 use crate::StoreError;
-use feed::crc32::crc32;
-use sketchwire::{RecordReader, WindowState};
+use feed::envelope::Format;
+use feed::{ByteReader, FeedError};
+use sketchwire::WindowState;
 use std::collections::BTreeSet;
 
 /// Segment header magic.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DOSG";
-/// Footer frame magic.
+/// Footer envelope magic.
 pub const FOOTER_MAGIC: [u8; 4] = *b"DOSF";
 /// Trailer end magic.
 pub const END_MAGIC: [u8; 4] = *b"DOSE";
-/// Segment format version.
-pub const SEGMENT_VERSION: u8 = 1;
+/// Segment format version, in the header and the footer envelope.
+pub const SEGMENT_VERSION: u8 = 2;
+
+/// The footer envelope; a larger footer is corruption.
+const FOOTER: Format = Format {
+    magic: FOOTER_MAGIC,
+    version: SEGMENT_VERSION,
+    max_len: 16 << 20,
+};
 
 /// Fixed header length.
 const HEADER_LEN: usize = 8;
-/// Fixed trailer length (footer-frame length + end magic).
+/// Fixed trailer length (footer-envelope length + end magic).
 const TRAILER_LEN: usize = 8;
-/// Hard cap on one footer frame; larger is corruption.
-const MAX_FOOTER: usize = 16 << 20;
 
 /// Microseconds per second — the same window-key convention the
 /// aggregator uses on the wire (`window_us = round(start · 10⁶)`).
@@ -111,15 +117,15 @@ pub fn encode_segment(level: u8, states: &[WindowState]) -> (Vec<u8>, SegmentFoo
         datasets: datasets.into_iter().collect(),
         bloom,
     };
-    let frame = encode_footer(&footer);
-    out.extend_from_slice(&frame);
-    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    let footer_start = out.len();
+    FOOTER.write(&mut out, |payload| encode_footer(&footer, payload));
+    let footer_len = (out.len() - footer_start) as u32;
+    out.extend_from_slice(&footer_len.to_le_bytes());
     out.extend_from_slice(&END_MAGIC);
     (out, footer)
 }
 
-fn encode_footer(f: &SegmentFooter) -> Vec<u8> {
-    let mut payload = Vec::new();
+fn encode_footer(f: &SegmentFooter, payload: &mut Vec<u8>) {
     payload.push(f.level);
     payload.extend_from_slice(&f.start_us.to_le_bytes());
     payload.extend_from_slice(&f.end_us.to_le_bytes());
@@ -132,64 +138,53 @@ fn encode_footer(f: &SegmentFooter) -> Vec<u8> {
     }
     payload.extend_from_slice(&(f.bloom.bits().len() as u32).to_le_bytes());
     payload.extend_from_slice(f.bloom.bits());
-
-    let mut frame = Vec::with_capacity(payload.len() + 12);
-    frame.extend_from_slice(&FOOTER_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame
 }
 
-/// A forward-only bounds-checked cursor; every read that would run past
-/// the end yields `None` (mapped to a typed error by the caller).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
+fn decode_footer(payload: &[u8]) -> Result<SegmentFooter, FeedError> {
+    let mut r = ByteReader::new(payload);
+    let level = r.u8("footer level")?;
+    let start_us = r.u64("footer start")?;
+    let end_us = r.u64("footer end")?;
+    if end_us < start_us {
+        return Err(FeedError::Invalid("footer time range inverted"));
     }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
+    let records = r.u32("footer records")?;
+    let windows = r.u32("footer windows")?;
+    let nds = r.u16("footer dataset count")?;
+    let mut datasets = Vec::with_capacity(nds as usize);
+    for _ in 0..nds {
+        let len = r.u16("footer dataset name")?;
+        let raw = r.bytes(len as usize, "footer dataset name")?;
+        let name =
+            std::str::from_utf8(raw).map_err(|_| FeedError::Invalid("dataset name not utf-8"))?;
+        datasets.push(name.to_string());
     }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    let bloom_len = r.u32("footer bloom length")?;
+    let bits = r.bytes(bloom_len as usize, "footer bloom")?;
+    let bloom = KeyBloom::from_bits(bits.to_vec()).ok_or(FeedError::Invalid("bad bloom length"))?;
+    r.finish()?;
+    Ok(SegmentFooter {
+        level,
+        start_us,
+        end_us,
+        records,
+        windows,
+        datasets,
+        bloom,
+    })
 }
 
 fn corrupt(segment: &str, what: &'static str) -> StoreError {
     StoreError::Corrupt {
         segment: segment.to_string(),
         what,
+    }
+}
+
+fn bad(segment: &str) -> impl FnOnce(FeedError) -> StoreError + '_ {
+    move |source| StoreError::Segment {
+        segment: segment.to_string(),
+        source,
     }
 }
 
@@ -217,88 +212,20 @@ pub fn read_footer(
     if tail[4..] != END_MAGIC {
         return Err(corrupt(segment, "bad end magic"));
     }
-    let frame_len = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")) as usize;
-    if !(12..=MAX_FOOTER).contains(&frame_len) {
-        return Err(corrupt(segment, "impossible footer length"));
-    }
+    let footer_len = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]) as usize;
     let body_len = bytes.len() - TRAILER_LEN;
-    let frame_start = body_len
-        .checked_sub(frame_len)
+    let footer_start = body_len
+        .checked_sub(footer_len)
         .filter(|&s| s >= HEADER_LEN)
         .ok_or_else(|| corrupt(segment, "footer overlaps header"))?;
-    let frame = &bytes[frame_start..body_len];
-    if frame[..4] != FOOTER_MAGIC {
-        return Err(corrupt(segment, "bad footer magic"));
-    }
-    let payload_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes")) as usize;
-    if payload_len != frame_len - 12 {
-        return Err(corrupt(segment, "footer length mismatch"));
-    }
-    let payload = &frame[8..8 + payload_len];
-    let want_crc = u32::from_le_bytes(frame[8 + payload_len..].try_into().expect("4 bytes"));
-    if crc32(payload) != want_crc {
-        return Err(corrupt(segment, "footer crc mismatch"));
-    }
-
-    let mut c = Cursor::new(payload);
-    let level = c.u8().ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    if level != header_level {
+    let payload = FOOTER
+        .open(&bytes[footer_start..body_len])
+        .map_err(bad(segment))?;
+    let footer = decode_footer(payload).map_err(bad(segment))?;
+    if footer.level != header_level {
         return Err(corrupt(segment, "footer level disagrees with header"));
     }
-    let start_us = c
-        .u64()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let end_us = c
-        .u64()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    if end_us < start_us {
-        return Err(corrupt(segment, "footer time range inverted"));
-    }
-    let records = c
-        .u32()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let windows = c
-        .u32()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let nds = c
-        .u16()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let mut datasets = Vec::with_capacity(nds as usize);
-    for _ in 0..nds {
-        let len = c
-            .u16()
-            .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-        let raw = c
-            .take(len as usize)
-            .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| corrupt(segment, "dataset name not utf-8"))?
-            .to_string();
-        datasets.push(name);
-    }
-    let bloom_len = c
-        .u32()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let bits = c
-        .take(bloom_len as usize)
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let bloom =
-        KeyBloom::from_bits(bits.to_vec()).ok_or_else(|| corrupt(segment, "bad bloom length"))?;
-    if !c.done() {
-        return Err(corrupt(segment, "trailing bytes after footer payload"));
-    }
-    Ok((
-        SegmentFooter {
-            level,
-            start_us,
-            end_us,
-            records,
-            windows,
-            datasets,
-            bloom,
-        },
-        HEADER_LEN..frame_start,
-    ))
+    Ok((footer, HEADER_LEN..footer_start))
 }
 
 /// Decode a whole segment image: footer, then every record, with the
@@ -308,24 +235,7 @@ pub fn decode_segment(
     segment: &str,
 ) -> Result<(SegmentFooter, Vec<WindowState>), StoreError> {
     let (footer, body) = read_footer(bytes, segment)?;
-    let mut reader = RecordReader::new();
-    reader.push(&bytes[body]);
-    let mut states = Vec::with_capacity(footer.records as usize);
-    loop {
-        match reader.next_record() {
-            Ok(Some(ws)) => states.push(ws),
-            Ok(None) => break,
-            Err(source) => {
-                return Err(StoreError::Segment {
-                    segment: segment.to_string(),
-                    source,
-                })
-            }
-        }
-    }
-    if reader.buffered() != 0 {
-        return Err(corrupt(segment, "trailing bytes in record region"));
-    }
+    let states = sketchwire::read_all(&bytes[body]).map_err(bad(segment))?;
     if states.len() != footer.records as usize {
         return Err(corrupt(segment, "footer record count disagrees with body"));
     }
@@ -422,5 +332,31 @@ mod tests {
                 panic!("flip at {i} decoded cleanly to {} states", states.len());
             }
         }
+    }
+
+    /// A segment in the version-1 layout (no footer envelope version), as
+    /// the previous release wrote it, is refused with a typed error that
+    /// names the segment.
+    #[test]
+    fn version_1_segment_is_rejected() {
+        let v1 = "444f534701000000534b57310142000000010000000000c082400000000000c0\
+                  82400465736c6408140002000a000000010109612e6578616d706c6505010000\
+                  0000000000000203010102000401010000000022088323444f53462d00000000\
+                  0046c32300000000008c86470000000001000000010000000100040065736c64\
+                  08000000000008000003004027d1159139000000444f5345";
+        let bytes: Vec<u8> = (0..v1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&v1[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(bytes.len(), 152);
+        let err = decode_segment(&bytes, "v1.seg").expect_err("v1 refused");
+        assert_eq!(err.bad_segment(), Some("v1.seg"));
+        assert!(matches!(
+            err,
+            StoreError::Corrupt {
+                what: "unsupported segment version",
+                ..
+            }
+        ));
     }
 }

@@ -244,7 +244,7 @@ fn query_history_topk_and_stats() {
 
     // history over the full range: every window contains the key.
     let t1 = store.frontier_us().expect("frontier");
-    let (points, total_bound, stats) =
+    let (points, total_error, stats) =
         store::query::history(&store, "esld", "k01", 0, t1).expect("history");
     // 18 ten-minute windows compact into 2 hourly rollups + 6 level-0
     // windows — history reflects the stored granularity.
@@ -259,10 +259,33 @@ fn query_history_topk_and_stats() {
     // compaction: the sum over all points equals the raw per-window sum.
     let raw_hits: u64 = (0..18).map(|w| 5 + ((1 + w) % 7) as u64).sum();
     assert_eq!(points.iter().map(|p| p.hits).sum::<u64>(), raw_hits);
-    assert_eq!(
-        total_bound,
-        points.iter().map(|p| p.error_bound).sum::<u64>()
+    // The stated interval holds the generator's truth: per point,
+    // count − error ≤ true ≤ count, where the truth of a rolled-up point
+    // is the sum over the raw windows it covers; and so in total.
+    let truth = |p: &store::HistoryPoint| -> u64 {
+        raw.iter()
+            .filter(|ws| ws.topk.dataset == "esld")
+            .filter(|ws| ws.start >= p.start && ws.start < p.start + p.length)
+            .flat_map(|ws| ws.topk.entries.iter().filter(|e| e.key == "k01"))
+            .map(|e| e.count)
+            .sum()
+    };
+    for p in &points {
+        let t = truth(p);
+        assert!(
+            p.count - p.error <= t && t <= p.count,
+            "point at {}s: truth {t} outside [{}, {}]",
+            p.start,
+            p.count - p.error,
+            p.count
+        );
+    }
+    let (count, true_total) = (
+        points.iter().map(|p| p.count).sum::<u64>(),
+        points.iter().map(truth).sum::<u64>(),
     );
+    assert_eq!(total_error, points.iter().map(|p| p.error).sum::<u64>());
+    assert!(count - total_error <= true_total && true_total <= count);
 
     // Dataset pruning: a dataset the store never saw scans nothing.
     let (points, _, stats) =

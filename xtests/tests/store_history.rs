@@ -102,12 +102,29 @@ fn renumbering_schedule_survives_hourly_compaction() {
 }
 
 /// The exact per-window hit deltas sum to the same ground truth no
-/// matter how coarsely the store is compacted, and the merged error
-/// bound is always stated.
+/// matter how coarsely the store is compacted, and every point's stated
+/// interval `[count − error, count]` holds the generator's truth.
 #[test]
 fn history_hits_are_conserved_across_compaction_levels() {
     let cfg = cfg(2);
     let span_us = cfg.windows as u64 * 600_000_000;
+
+    // The key's cumulative count in every raw window: the truth each
+    // (possibly rolled-up) point's count must bound.
+    let mut stream = SynthStream::new(cfg.clone());
+    let mut counts = Vec::new();
+    while let Some(window) = stream.next_window() {
+        let ws = window.iter().find(|ws| ws.topk.dataset == "aafqdn");
+        let entry = ws.and_then(|ws| ws.topk.entries.iter().find(|e| e.key == "host1.example."));
+        counts.push(entry.map_or(0, |e| e.count));
+    }
+    let truth = |start: f64, length: f64| -> u64 {
+        let lo = (start / 600.0).round() as usize;
+        let hi = ((start + length) / 600.0).round() as usize;
+        counts[lo.min(counts.len())..hi.min(counts.len())]
+            .iter()
+            .sum()
+    };
 
     let mut totals = Vec::new();
     for (tag, spans) in [
@@ -117,10 +134,25 @@ fn history_hits_are_conserved_across_compaction_levels() {
     ] {
         let dir = temp_store(tag);
         let s = build(&dir, &cfg, &store::CompactionPolicy { spans_us: spans });
-        let (points, bound, _) =
+        let (points, total_error, _) =
             store::query::history(&s, "aafqdn", "host1.example.", 0, span_us + 1).expect("history");
         assert!(!points.is_empty(), "{tag}: no history points");
-        assert!(bound > 0, "{tag}: bound must be stated");
+        for p in &points {
+            let t = truth(p.start, p.length);
+            assert!(
+                p.count - p.error <= t && t <= p.count,
+                "{tag}: point at {}s: truth {t} outside [{}, {}]",
+                p.start,
+                p.count - p.error,
+                p.count
+            );
+        }
+        let count: u64 = points.iter().map(|p| p.count).sum();
+        let true_total: u64 = points.iter().map(|p| truth(p.start, p.length)).sum();
+        assert!(
+            count - total_error <= true_total && true_total <= count,
+            "{tag}: total truth {true_total} outside the stated interval"
+        );
         totals.push((tag, points.iter().map(|p| p.hits).sum::<u64>()));
         let _ = std::fs::remove_dir_all(&dir);
     }
