@@ -24,7 +24,7 @@ use dns_observatory::{Dataset, ObservatoryConfig, StateExporter};
 use feed::SensorConfig;
 use simnet::{SimConfig, Simulation};
 use sketchwire::{
-    merge_chunks, merge_topk, AggregatorConfig, AggregatorCore, TopKState, WindowState,
+    merge_chunks, merge_states, AggregatorConfig, AggregatorCore, TopKState, WindowState,
 };
 use std::collections::BTreeMap;
 
@@ -95,7 +95,7 @@ fn reference_merge(survivors: &[WindowState]) -> (Vec<RefWindow>, u64) {
             for (upstream, datasets) in sources {
                 let mut contributed = false;
                 for (name, parts) in datasets {
-                    let Ok(assembled) = merge_chunks(&parts) else {
+                    let Ok(assembled) = merge_chunks(parts) else {
                         conflicts += 1;
                         continue;
                     };
@@ -103,7 +103,7 @@ fn reference_merge(survivors: &[WindowState]) -> (Vec<RefWindow>, u64) {
                     let merged = match by_dataset.remove(&name) {
                         None => assembled,
                         Some(current) => {
-                            merge_topk(&current, &assembled).expect("identical layouts merge")
+                            merge_states(vec![current, assembled]).expect("identical layouts merge")
                         }
                     };
                     by_dataset.insert(name, merged);

@@ -4,7 +4,7 @@
 //! (`sketchwire::WindowState`) and ship it through the seeded faulty
 //! transport. Whatever survives feeds the real `AggregatorCore`; the
 //! reference is an independent fold of the *predicted* survivor records
-//! with `merge_chunks`/`merge_topk` directly. The fault schedule plus
+//! with `merge_chunks`/`merge_states` directly, one upstream at a time. The fault schedule plus
 //! ground truth fully determine the global view:
 //!
 //! * the aggregator's sealed windows equal the reference fold exactly;
@@ -18,7 +18,7 @@ use dns_observatory::{Dataset, ObservatoryConfig, StateExporter};
 use feed::SensorConfig;
 use simnet::{SimConfig, Simulation};
 use sketchwire::{
-    merge_chunks, merge_topk, AggregatorConfig, AggregatorCore, TopKState, WindowState,
+    merge_chunks, merge_states, AggregatorConfig, AggregatorCore, TopKState, WindowState,
 };
 use std::collections::BTreeMap;
 
@@ -134,7 +134,7 @@ fn reference_merge(survivors: &[WindowState]) -> (Vec<RefWindow>, u64) {
             for (upstream, datasets) in sources {
                 let mut contributed = false;
                 for (name, parts) in datasets {
-                    let Ok(assembled) = merge_chunks(&parts) else {
+                    let Ok(assembled) = merge_chunks(parts) else {
                         conflicts += 1;
                         continue;
                     };
@@ -142,7 +142,7 @@ fn reference_merge(survivors: &[WindowState]) -> (Vec<RefWindow>, u64) {
                     let merged = match by_dataset.remove(&name) {
                         None => assembled,
                         Some(current) => {
-                            merge_topk(&current, &assembled).expect("identical layouts merge")
+                            merge_states(vec![current, assembled]).expect("identical layouts merge")
                         }
                     };
                     by_dataset.insert(name, merged);

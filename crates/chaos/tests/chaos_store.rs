@@ -121,7 +121,7 @@ fn crash_at_first_op_is_a_clean_no_op() {
     assert!(report.removed_orphans.is_empty());
     assert_eq!(s.segments().len(), 12, "no inputs may be lost");
     let reference =
-        store::fold_states(&batches.iter().flatten().cloned().collect::<Vec<_>>()).expect("fold");
+        store::fold_states(batches.iter().flatten().cloned().collect::<Vec<_>>()).expect("fold");
     assert_eq!(store_fold(&s).expect("fold"), reference);
     store::compact(&mut s, &policy).expect("clean resume");
     assert_eq!(store_fold(&s).expect("fold"), reference);

@@ -689,9 +689,9 @@ fn collect_forward(args: &[String], output: impl Iterator<Item = TxSummary>, win
         Err(code) => return code,
     };
     let retain = retain_span_us(args);
-    let mut exporter = match &cli_store {
-        Some((_, Some((start, states)))) => {
-            match StateExporter::resume(cfg.clone(), upstream, chunk_entries, *start, states) {
+    let mut exporter = match cli_store.as_mut().and_then(|(_, last)| last.take()) {
+        Some((start, states)) => {
+            match StateExporter::resume(cfg.clone(), upstream, chunk_entries, start, states) {
                 Ok(e) => {
                     eprintln!("store: resumed watermark frontier after window t={start}s");
                     e
@@ -1307,7 +1307,11 @@ fn subscribe_cmd(args: &[String]) -> i32 {
     let mut meta_files = 0usize;
     loop {
         match client.next_event() {
-            Ok(Some(SubEvent::Window(h))) => {
+            Ok(Some(SubEvent::Window { dataset, .. })) => {
+                let h = client
+                    .core()
+                    .held(&dataset)
+                    .expect("an event names a held window");
                 let dump = match dns_observatory::render_state(&h.state, h.start, h.length) {
                     Ok(d) => d,
                     Err(e) => {

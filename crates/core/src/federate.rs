@@ -107,7 +107,7 @@ impl StateExporter {
         upstream: u64,
         chunk_entries: usize,
         last_window_start: f64,
-        states: &[WindowState],
+        states: Vec<WindowState>,
     ) -> Result<StateExporter, StateError> {
         let mut exporter = StateExporter::new(cfg, upstream, chunk_entries);
         let mut by_dataset: BTreeMap<String, Vec<TopKState>> = BTreeMap::new();
@@ -115,14 +115,14 @@ impl StateExporter {
             by_dataset
                 .entry(ws.topk.dataset.clone())
                 .or_default()
-                .push(ws.topk.clone());
+                .push(ws.topk);
         }
         for (i, tracker) in exporter.trackers.iter_mut().enumerate() {
             let (ds, k) = exporter.cfg.datasets[i];
             let parts = by_dataset
                 .remove(ds.name())
                 .ok_or(StateError::LayoutMismatch("resume state missing a dataset"))?;
-            let whole = merge_chunks(&parts)?;
+            let whole = merge_chunks(parts)?;
             if whole.capacity != k as u64 {
                 return Err(StateError::LayoutMismatch(
                     "resume capacity differs from configured k",
@@ -310,7 +310,7 @@ mod tests {
     use crate::keys::Dataset;
     use crate::pipeline::Observatory;
     use simnet::{SimConfig, Simulation};
-    use sketchwire::{merge_chunks, merge_topk, AggregatorConfig, AggregatorCore};
+    use sketchwire::{merge_chunks, merge_states, AggregatorConfig, AggregatorCore};
     use std::collections::BTreeMap;
 
     fn cfg(window: f64) -> ObservatoryConfig {
@@ -403,7 +403,7 @@ mod tests {
         }
         for ws in whole {
             let key = ((ws.start * 1e6).round() as u64, ws.topk.dataset.clone());
-            let parts = groups.get(&key).expect("chunked run has same windows");
+            let parts = groups.remove(&key).expect("chunked run has same windows");
             let mut back = merge_chunks(parts).expect("reassemble");
             let mut want = ws.topk;
             want.entries.sort_by(|a, b| a.key.cmp(&b.key));
@@ -492,7 +492,7 @@ mod tests {
         };
         for ds in ["srvip", "qtype"] {
             let (ta, tb) = (find(&sa, ds), find(&sb, ds));
-            let merged = merge_topk(&ta, &tb).expect("merge");
+            let merged = merge_states(vec![ta.clone(), tb.clone()]).expect("merge");
             assert_eq!(merged.error_bound, ta.error_bound + tb.error_bound);
             assert!(merged.max_entry_error() <= merged.error_bound);
             // Per-key per-window hits are conserved: features are exact

@@ -151,7 +151,7 @@ fn store_contents(dir: &Path) -> (Option<u64>, Vec<(u64, String, sketchwire::Top
     let all = chunks
         .into_iter()
         .map(|((start_us, dataset), parts)| {
-            let mut whole = sketchwire::merge_chunks(&parts).expect("complete chunks");
+            let mut whole = sketchwire::merge_chunks(parts).expect("complete chunks");
             whole
                 .entries
                 .sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));

@@ -26,10 +26,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sketches::LogBuckets;
-use sketchwire::{StateError, TopKState, WindowState};
+use sketchwire::{merge_chunks, StateError, TopKState, WindowState};
 use telemetry::{Counter, Gauge, Histogram, Registry, TraceEvent, TraceKind, TraceRing};
 
-use crate::codec::{encode_frame_vec, EvictReason, Frame, Topic};
+use crate::codec::{encode_frame_vec, encode_snapshot, EvictReason, Frame, Topic};
 use crate::delta::{canonicalize, diff_states, strip_features, window_id_us};
 
 /// Broker tuning knobs.
@@ -201,15 +201,57 @@ struct Client {
     totals: ClientTotals,
 }
 
-/// One dataset's current published window plus its pre-encoded frames
-/// (encoded once, shared by every subscriber and every late joiner).
+/// One dataset's current published window. Only the canonical `full`
+/// state is built at seal time; the feature-stripped view and both
+/// snapshot frames are built the first time a client needs them (a late
+/// joiner, a resync, a basis mismatch) and then shared by every client
+/// for as long as the window stays published.
 #[derive(Debug)]
 struct Published {
     window_us: u64,
+    start: f64,
+    length: f64,
     full: TopKState,
-    topk_only: TopKState,
-    snap_full: Arc<Vec<u8>>,
-    snap_topk: Arc<Vec<u8>>,
+    topk_only: Option<TopKState>,
+    snap_full: Option<Arc<Vec<u8>>>,
+    snap_topk: Option<Arc<Vec<u8>>>,
+}
+
+impl Published {
+    fn new(start: f64, length: f64, full: TopKState) -> Published {
+        Published {
+            window_us: window_id_us(start),
+            start,
+            length,
+            full,
+            topk_only: None,
+            snap_full: None,
+            snap_topk: None,
+        }
+    }
+
+    /// The feature-stripped view, built on first use.
+    fn topk_only(&mut self) -> &TopKState {
+        self.topk_only
+            .get_or_insert_with(|| strip_features(&self.full))
+    }
+
+    /// The snapshot frame at `features` fidelity, encoded on first use.
+    fn snapshot(&mut self, features: bool) -> Arc<Vec<u8>> {
+        let (start, length) = (self.start, self.length);
+        let frame = if features {
+            let full = &self.full;
+            self.snap_full
+                .get_or_insert_with(|| Arc::new(encode_snapshot(start, length, full)))
+        } else {
+            if self.snap_topk.is_none() {
+                let frame = encode_snapshot(start, length, self.topk_only());
+                self.snap_topk = Some(Arc::new(frame));
+            }
+            self.snap_topk.as_ref().expect("encoded above")
+        };
+        frame.clone()
+    }
 }
 
 struct Metrics {
@@ -328,15 +370,12 @@ impl BrokerCore {
             totals: ClientTotals::default(),
         };
         if client.subs.wants_windows() {
-            for (ds, p) in &self.published {
+            let features = client.subs.features;
+            for (ds, p) in self.published.iter_mut() {
                 if !client.subs.wants_dataset(ds) {
                     continue;
                 }
-                let frame = if client.subs.features {
-                    p.snap_full.clone()
-                } else {
-                    p.snap_topk.clone()
-                };
+                let frame = || p.snapshot(features);
                 if push_frame(&self.cfg, &self.metrics, id, &mut client, frame, actions) {
                     client.basis.insert(ds.clone(), p.window_us);
                 } else {
@@ -408,66 +447,24 @@ impl BrokerCore {
         let mut updates = Vec::with_capacity(by_ds.len());
         let mut first_window_us = 0;
         for (ds, parts) in by_ds {
-            let start = parts[0].start;
-            let length = parts[0].length;
-            let window_us = window_id_us(start);
-            let topks: Vec<TopKState> = parts.into_iter().map(|w| w.topk).collect();
-            let full = canonicalize(sketchwire::merge_chunks(&topks)?);
-            let topk_only = strip_features(&full);
-            let snap_full = Arc::new(encode_frame_vec(&Frame::Snapshot(Box::new(WindowState {
-                upstream: 0,
-                start,
-                length,
-                topk: full.clone(),
-            }))));
-            let snap_topk = Arc::new(encode_frame_vec(&Frame::Snapshot(Box::new(WindowState {
-                upstream: 0,
-                start,
-                length,
-                topk: topk_only.clone(),
-            }))));
-            // Deltas are only worth encoding when someone might consume
-            // them; with no clients the seal path pays for snapshots only.
-            let (prev_us, delta_full, delta_topk) = match self.published.get(&ds) {
-                Some(p) if p.window_us < window_us && !self.clients.is_empty() => {
-                    let df = diff_states(p.window_us, &p.full, window_us, start, length, &full);
-                    let dt = diff_states(
-                        p.window_us,
-                        &p.topk_only,
-                        window_us,
-                        start,
-                        length,
-                        &topk_only,
-                    );
-                    (
-                        Some(p.window_us),
-                        Some(Arc::new(encode_frame_vec(&Frame::Delta(Box::new(df))))),
-                        Some(Arc::new(encode_frame_vec(&Frame::Delta(Box::new(dt))))),
-                    )
-                }
-                _ => (None, None, None),
-            };
-            self.published.insert(
-                ds.clone(),
-                Published {
-                    window_us,
-                    full,
-                    topk_only,
-                    snap_full: snap_full.clone(),
-                    snap_topk: snap_topk.clone(),
-                },
-            );
+            let (start, length) = (parts[0].start, parts[0].length);
+            let topks = parts.into_iter().map(|w| w.topk).collect();
+            let next = Published::new(start, length, canonicalize(merge_chunks(topks)?));
+            let window_us = next.window_us;
+            // The window this one replaces is the delta basis, if older.
+            let prev = self
+                .published
+                .insert(ds.clone(), next)
+                .filter(|p| p.window_us < window_us);
             if first_window_us == 0 {
                 first_window_us = window_us;
             }
             updates.push(Update {
                 ds,
                 window_us,
-                prev_us,
-                snap_full,
-                snap_topk,
-                delta_full,
-                delta_topk,
+                prev,
+                delta_full: None,
+                delta_topk: None,
             });
         }
 
@@ -476,9 +473,9 @@ impl BrokerCore {
             if !client.subs.wants_windows() {
                 continue;
             }
-            let wanted: Vec<&Update> = updates
-                .iter()
-                .filter(|u| client.subs.wants_dataset(&u.ds))
+            let features = client.subs.features;
+            let wanted: Vec<usize> = (0..updates.len())
+                .filter(|&i| client.subs.wants_dataset(&updates[i].ds))
                 .collect();
             if wanted.is_empty() {
                 continue;
@@ -486,19 +483,25 @@ impl BrokerCore {
             match client.degraded {
                 None => {
                     let mut stalled = false;
-                    for u in wanted {
+                    for i in wanted {
+                        let u = &mut updates[i];
                         if stalled {
                             drop_frame(&self.metrics, client, 1);
                             client.basis.remove(&u.ds);
                             continue;
                         }
+                        let prev_us = u.prev.as_ref().map(|p| p.window_us);
                         let use_delta =
-                            u.prev_us.is_some() && client.basis.get(&u.ds).copied() == u.prev_us;
-                        let frame = match (use_delta, client.subs.features) {
-                            (true, true) => u.delta_full.clone().expect("delta encoded"),
-                            (true, false) => u.delta_topk.clone().expect("delta encoded"),
-                            (false, true) => u.snap_full.clone(),
-                            (false, false) => u.snap_topk.clone(),
+                            prev_us.is_some() && client.basis.get(&u.ds).copied() == prev_us;
+                        let next = self.published.get_mut(&u.ds).expect("published above");
+                        // The frame is built only once the client has
+                        // room for it, so an unsent variant costs nothing.
+                        let frame = || {
+                            if use_delta {
+                                u.delta(features, next)
+                            } else {
+                                next.snapshot(features)
+                            }
                         };
                         if push_frame(&self.cfg, &self.metrics, id, client, frame, actions) {
                             client.basis.insert(u.ds.clone(), u.window_us);
@@ -514,24 +517,19 @@ impl BrokerCore {
                     d.windows_since += 1;
                     if d.windows_since >= self.cfg.snapshot_every {
                         d.windows_since = 0;
-                        let resync: Vec<(&String, &Published)> = self
+                        let resync: Vec<(&String, &mut Published)> = self
                             .published
-                            .iter()
+                            .iter_mut()
                             .filter(|(ds, _)| client.subs.wants_dataset(ds))
                             .collect();
                         if self.cfg.egress_frames.saturating_sub(client.depth) >= resync.len() {
                             for (ds, p) in resync {
-                                let frame = if client.subs.features {
-                                    p.snap_full.clone()
-                                } else {
-                                    p.snap_topk.clone()
-                                };
                                 let ok = push_frame(
                                     &self.cfg,
                                     &self.metrics,
                                     id,
                                     client,
-                                    frame,
+                                    || p.snapshot(features),
                                     actions,
                                 );
                                 debug_assert!(ok, "resync capacity was checked");
@@ -575,7 +573,14 @@ impl BrokerCore {
             if !client.subs.meta {
                 continue;
             }
-            if !push_frame(&self.cfg, &self.metrics, id, client, frame.clone(), actions) {
+            if !push_frame(
+                &self.cfg,
+                &self.metrics,
+                id,
+                client,
+                || frame.clone(),
+                actions,
+            ) {
                 drop_frame(&self.metrics, client, 1);
             }
         }
@@ -653,25 +658,61 @@ impl BrokerCore {
     }
 }
 
-/// One dataset's frames for the window being fanned out.
+/// One dataset's fan-out for the window being sealed: the window it
+/// replaces (the delta basis) and the two delta frames, each diffed and
+/// encoded the first time a client will receive it.
 struct Update {
     ds: String,
     window_us: u64,
-    prev_us: Option<u64>,
-    snap_full: Arc<Vec<u8>>,
-    snap_topk: Arc<Vec<u8>>,
+    prev: Option<Published>,
     delta_full: Option<Arc<Vec<u8>>>,
     delta_topk: Option<Arc<Vec<u8>>>,
 }
 
-/// Try to accept a frame into the client's egress window. Free function
-/// (not a method) so `on_sealed` can call it while iterating clients.
+impl Update {
+    /// The delta from `prev` to `next` at `features` fidelity.
+    fn delta(&mut self, features: bool, next: &mut Published) -> Arc<Vec<u8>> {
+        let slot = if features {
+            &mut self.delta_full
+        } else {
+            &mut self.delta_topk
+        };
+        if let Some(frame) = slot {
+            return frame.clone();
+        }
+        let prev = self
+            .prev
+            .as_mut()
+            .expect("deltas are sent only against a basis");
+        let (prev_us, window_us, start, length) =
+            (prev.window_us, next.window_us, next.start, next.length);
+        let d = if features {
+            diff_states(prev_us, &prev.full, window_us, start, length, &next.full)
+        } else {
+            diff_states(
+                prev_us,
+                prev.topk_only(),
+                window_us,
+                start,
+                length,
+                next.topk_only(),
+            )
+        };
+        let frame = Arc::new(encode_frame_vec(&Frame::Delta(Box::new(d))));
+        *slot = Some(frame.clone());
+        frame
+    }
+}
+
+/// Try to accept a frame into the client's egress window; `frame` is
+/// called only when the frame is accepted. Free function (not a method)
+/// so `on_sealed` can call it while iterating clients.
 fn push_frame(
     cfg: &BrokerConfig,
     metrics: &Option<Metrics>,
     id: u64,
     client: &mut Client,
-    frame: Arc<Vec<u8>>,
+    frame: impl FnOnce() -> Arc<Vec<u8>>,
     actions: &mut Vec<Action>,
 ) -> bool {
     if client.depth >= cfg.egress_frames {
@@ -679,7 +720,10 @@ fn push_frame(
     }
     client.depth += 1;
     client.totals.pushed += 1;
-    actions.push(Action::Send { client: id, frame });
+    actions.push(Action::Send {
+        client: id,
+        frame: frame(),
+    });
     if let Some(m) = metrics {
         m.frames_pushed.inc(1);
         m.egress_depth.record(client.depth as f64);
@@ -782,7 +826,8 @@ mod tests {
         assert_eq!(frames.len(), 1);
         match &frames[0] {
             Frame::Delta(d) => {
-                let next = apply_delta(&base, d).unwrap();
+                let mut next = base;
+                apply_delta(&mut next, (**d).clone()).unwrap();
                 assert_eq!(next.entries.len(), 2);
                 assert_eq!(next.observed, 11);
             }

@@ -15,7 +15,7 @@ use std::fmt;
 use feed::codec::write_varint;
 use feed::envelope::{Decoder, Format, Framed};
 use feed::{ByteReader, FeedError, FeedItem};
-use sketchwire::WindowState;
+use sketchwire::{TopKState, WindowState};
 
 use crate::delta::WindowDelta;
 
@@ -270,6 +270,19 @@ pub fn encode_frame_vec(frame: &Frame) -> Vec<u8> {
     out
 }
 
+/// Encode one `Snapshot` frame straight from a borrowed published state:
+/// the same bytes as `encode_frame_vec(&Frame::Snapshot(..))` on a
+/// [`WindowState`] with `upstream` 0 and these parts, without cloning
+/// the state into one.
+pub fn encode_snapshot(start: f64, length: f64, topk: &TopKState) -> Vec<u8> {
+    let mut out = Vec::new();
+    FORMAT.write(&mut out, |payload| {
+        payload.push(TYPE_SNAPSHOT);
+        WindowState::encode_parts(0, start, length, topk, payload);
+    });
+    out
+}
+
 /// Decode one envelope payload (CRC already verified).
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, FeedError> {
     let mut r = ByteReader::new(payload);
@@ -335,7 +348,6 @@ pub type FrameReader = Decoder<Frame>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sketchwire::TopKState;
 
     fn tiny_window() -> WindowState {
         WindowState {
@@ -390,6 +402,16 @@ mod tests {
             undelivered: 17,
         });
         roundtrip(Frame::Bye);
+    }
+
+    #[test]
+    fn borrowed_snapshot_matches_owned_frame() {
+        let mut ws = tiny_window();
+        ws.upstream = 0;
+        assert_eq!(
+            encode_snapshot(ws.start, ws.length, &ws.topk),
+            encode_frame_vec(&Frame::Snapshot(Box::new(ws)))
+        );
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! apply_delta(prev, diff_states(prev_us, prev, next_us, next)) == next
 //! ```
 //!
-//! for any two *canonical* states of the same dataset. Canonical means
-//! key-ascending entries, whole (`chunk == 0`, `chunks == 1`) and
+//! for any two *canonical* states of the same dataset (`apply_delta`
+//! works in place: the basis it is handed becomes `next`). Canonical
+//! means key-ascending entries, whole (`chunk == 0`, `chunks == 1`) and
 //! gate-free: subscribers consume an aggregate view of the window, never
 //! resume state, so the admission gate is stripped before publication.
-
-use std::collections::BTreeMap;
 
 use feed::codec::write_varint;
 use feed::{ByteReader, FeedError};
@@ -65,6 +64,17 @@ fn empty_features() -> FeatureState {
 /// receive — rank and bound data at a fraction of the bytes.
 pub fn strip_features(state: &TopKState) -> TopKState {
     TopKState {
+        dataset: state.dataset.clone(),
+        capacity: state.capacity,
+        observed: state.observed,
+        min_count: state.min_count,
+        error_bound: state.error_bound,
+        evictions: state.evictions,
+        kept: state.kept,
+        dropped: state.dropped,
+        filtered: state.filtered,
+        chunk: state.chunk,
+        chunks: state.chunks,
         entries: state
             .entries
             .iter()
@@ -76,7 +86,7 @@ pub fn strip_features(state: &TopKState) -> TopKState {
                 features: empty_features(),
             })
             .collect(),
-        ..state.clone()
+        gate: state.gate.clone(),
     }
 }
 
@@ -305,39 +315,68 @@ pub fn diff_states(
     }
 }
 
-/// Apply a delta to its basis window, reproducing the next window's
-/// canonical state exactly. Strict about desync: a removed key the basis
-/// does not hold, or a dataset mismatch, is an error — the subscriber
+/// Apply a delta to its basis window in place, turning it into the next
+/// window's canonical state exactly. The delta is consumed: its header
+/// replaces the basis header, and one walk over the key-sorted basis
+/// moves each `changed` entry into position and drops each `removed`
+/// key. Strict about desync: a removed key the basis does not hold, or a
+/// dataset mismatch, is an error that leaves the basis's header and
+/// entries as they were (at most re-sorted by key) — the subscriber
 /// treats it as a protocol violation rather than guessing.
-pub fn apply_delta(prev: &TopKState, d: &WindowDelta) -> Result<TopKState, &'static str> {
-    if prev.dataset != d.dataset {
+pub fn apply_delta(basis: &mut TopKState, d: WindowDelta) -> Result<(), &'static str> {
+    if basis.dataset != d.dataset {
         return Err("delta dataset mismatch");
     }
-    let mut entries: BTreeMap<&str, &TopKEntry> =
-        prev.entries.iter().map(|e| (e.key.as_str(), e)).collect();
-    for k in &d.removed {
-        if entries.remove(k.as_str()).is_none() {
-            return Err("delta removes a key the basis does not hold");
+    // A snapshot from the wire is not promised sorted; every state this
+    // function produces is.
+    if basis.entries.windows(2).any(|w| w[0].key >= w[1].key) {
+        basis.entries.sort_by(|a, b| a.key.cmp(&b.key));
+    }
+    let mut changed = d.changed;
+    if changed.windows(2).any(|w| w[0].key >= w[1].key) {
+        changed.sort_by(|a, b| a.key.cmp(&b.key));
+    }
+    let mut removed = d.removed;
+    removed.sort_unstable();
+    let held = |k: &String| {
+        basis
+            .entries
+            .binary_search_by(|e| e.key.as_str().cmp(k.as_str()))
+            .is_ok()
+    };
+    if !removed.iter().all(held) {
+        return Err("delta removes a key the basis does not hold");
+    }
+
+    let mut entries = Vec::with_capacity(basis.entries.len() + changed.len());
+    let mut changed = changed.into_iter().peekable();
+    let mut removed = removed.into_iter().peekable();
+    for e in std::mem::take(&mut basis.entries) {
+        while let Some(c) = changed.next_if(|c| c.key < e.key) {
+            entries.push(c);
+        }
+        let gone = removed.next_if(|k| *k == e.key).is_some();
+        match changed.next_if(|c| c.key == e.key) {
+            Some(c) => entries.push(c),
+            None if gone => {}
+            None => entries.push(e),
         }
     }
-    for e in &d.changed {
-        entries.insert(e.key.as_str(), e);
-    }
-    Ok(TopKState {
-        dataset: d.dataset.clone(),
-        capacity: d.capacity,
-        observed: d.observed,
-        min_count: d.min_count,
-        error_bound: d.error_bound,
-        evictions: d.evictions,
-        kept: d.kept,
-        dropped: d.dropped,
-        filtered: d.filtered,
-        chunk: 0,
-        chunks: 1,
-        entries: entries.into_values().cloned().collect(),
-        gate: None,
-    })
+    entries.extend(changed);
+
+    basis.capacity = d.capacity;
+    basis.observed = d.observed;
+    basis.min_count = d.min_count;
+    basis.error_bound = d.error_bound;
+    basis.evictions = d.evictions;
+    basis.kept = d.kept;
+    basis.dropped = d.dropped;
+    basis.filtered = d.filtered;
+    basis.chunk = 0;
+    basis.chunks = 1;
+    basis.entries = entries;
+    basis.gate = None;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -403,7 +442,9 @@ mod tests {
             vec!["b", "d"],
             "unchanged entries stay out of the delta"
         );
-        assert_eq!(apply_delta(&prev, &d).unwrap(), next);
+        let mut held = prev;
+        apply_delta(&mut held, d).unwrap();
+        assert_eq!(held, next);
     }
 
     #[test]
@@ -411,7 +452,9 @@ mod tests {
         let prev = state(vec![entry("a", 5, 5)], 5);
         let d = diff_states(0, &prev, 600_000_000, 600.0, 600.0, &prev);
         assert!(d.changed.is_empty() && d.removed.is_empty());
-        assert_eq!(apply_delta(&prev, &d).unwrap(), prev);
+        let mut held = prev.clone();
+        apply_delta(&mut held, d).unwrap();
+        assert_eq!(held, prev);
     }
 
     #[test]
@@ -420,7 +463,9 @@ mod tests {
         let next = state(vec![entry("b", 1, 1)], 6);
         let mut d = diff_states(0, &prev, 600_000_000, 600.0, 600.0, &next);
         d.removed = vec!["zz".to_string()];
-        assert!(apply_delta(&prev, &d).is_err());
+        let mut held = prev.clone();
+        assert!(apply_delta(&mut held, d).is_err());
+        assert_eq!(held, prev, "a refused delta leaves the basis untouched");
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub mod subscriber;
 pub use broker::{Action, BrokerConfig, BrokerCore, BrokerReport, ClientTotals, EvictionRecord};
 pub use client::SubscribeClient;
 pub use codec::{
-    encode_frame, encode_frame_vec, EvictReason, Frame, FrameReader, Topic, MAGIC, MAX_FRAME,
-    PROTOCOL_VERSION,
+    encode_frame, encode_frame_vec, encode_snapshot, EvictReason, Frame, FrameReader, Topic, MAGIC,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use delta::{
     apply_delta, canonicalize, diff_states, strip_features, window_id_us, WindowDelta,

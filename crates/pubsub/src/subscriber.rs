@@ -33,8 +33,14 @@ pub struct HeldWindow {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubEvent {
     /// A dataset advanced to a new consistent window (via snapshot or
-    /// delta — the caller cannot tell, which is the point).
-    Window(HeldWindow),
+    /// delta — the caller cannot tell, which is the point). The window
+    /// itself is read through [`SubscriberCore::held`].
+    Window {
+        /// Dataset that advanced.
+        dataset: String,
+        /// Identity of the window it now holds, microseconds.
+        window_us: u64,
+    },
     /// Meta TSV bytes for one window.
     Meta {
         /// Window start, microseconds.
@@ -140,38 +146,41 @@ impl SubscriberCore {
                 Ok(None)
             }
             Frame::Snapshot(ws) => {
+                let ws = *ws;
+                let dataset = ws.topk.dataset.clone();
                 let window_us = window_id_us(ws.start);
-                let held = HeldWindow {
-                    window_us,
-                    start: ws.start,
-                    length: ws.length,
-                    state: ws.topk,
-                };
-                self.held.insert(held.state.dataset.clone(), held.clone());
+                self.held.insert(
+                    dataset.clone(),
+                    HeldWindow {
+                        window_us,
+                        start: ws.start,
+                        length: ws.length,
+                        state: ws.topk,
+                    },
+                );
                 self.snapshots_applied += 1;
-                Ok(Some(SubEvent::Window(held)))
+                Ok(Some(SubEvent::Window { dataset, window_us }))
             }
             Frame::Delta(d) => {
-                let prev = match self.held.get(&d.dataset) {
+                let d = *d;
+                let held = match self.held.get_mut(&d.dataset) {
                     Some(h) if h.window_us == d.prev_window_us => h,
                     other => {
                         return Err(SubError::Desync {
-                            dataset: d.dataset.clone(),
                             held_us: other.map(|h| h.window_us),
                             basis_us: d.prev_window_us,
+                            dataset: d.dataset,
                         })
                     }
                 };
-                let state = apply_delta(&prev.state, &d).map_err(SubError::Apply)?;
-                let held = HeldWindow {
-                    window_us: d.window_us,
-                    start: d.start,
-                    length: d.length,
-                    state,
-                };
-                self.held.insert(d.dataset.clone(), held.clone());
+                let (dataset, window_us, start, length) =
+                    (d.dataset.clone(), d.window_us, d.start, d.length);
+                apply_delta(&mut held.state, d).map_err(SubError::Apply)?;
+                held.window_us = window_us;
+                held.start = start;
+                held.length = length;
                 self.deltas_applied += 1;
-                Ok(Some(SubEvent::Window(held)))
+                Ok(Some(SubEvent::Window { dataset, window_us }))
             }
             Frame::Meta { start_us, bytes } => Ok(Some(SubEvent::Meta { start_us, bytes })),
             Frame::Evict {
@@ -281,7 +290,11 @@ mod tests {
                 last = sub.on_frame(f).unwrap();
             }
             match last {
-                Some(SubEvent::Window(h)) => assert_eq!(h.state, expect, "window {i}"),
+                Some(SubEvent::Window { dataset, window_us }) => {
+                    let h = sub.held(&dataset).expect("held window");
+                    assert_eq!(h.window_us, window_us);
+                    assert_eq!(h.state, expect, "window {i}");
+                }
                 other => panic!("expected a window event, got {other:?}"),
             }
             broker.on_drained(1, 1);

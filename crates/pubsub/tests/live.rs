@@ -52,7 +52,8 @@ fn sealed(window: u64, entries: Vec<TopKEntry>) -> Vec<WindowState> {
 fn expect_window(client: &mut SubscribeClient, want: &TopKState) {
     loop {
         match client.next_event().expect("stream healthy") {
-            Some(SubEvent::Window(h)) => {
+            Some(SubEvent::Window { dataset, .. }) => {
+                let h = client.core().held(&dataset).expect("held window");
                 assert_eq!(&h.state, want);
                 return;
             }
@@ -137,7 +138,8 @@ fn topk_topic_over_the_wire_strips_features() {
     let mut client = SubscribeClient::connect(addr, &[Topic::Topk]).expect("connect");
     assert!(handle.publish_windows(sealed(1, vec![entry("a", 5)])));
     match client.next_event().expect("stream healthy") {
-        Some(SubEvent::Window(h)) => {
+        Some(SubEvent::Window { dataset, .. }) => {
+            let h = client.core().held(&dataset).expect("held window");
             assert_eq!(h.state.entries[0].count, 5);
             assert!(h.state.entries[0].features.adds.is_empty());
         }

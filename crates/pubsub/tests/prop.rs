@@ -226,7 +226,7 @@ proptest! {
                 600.0,
                 next,
             );
-            held = apply_delta(&held, &d).expect("in-sequence delta applies");
+            apply_delta(&mut held, d).expect("in-sequence delta applies");
             prop_assert_eq!(&held, next, "window {} diverged", i);
         }
     }
@@ -238,7 +238,8 @@ proptest! {
         let prev = canonicalize(strip_features(&prev));
         let next = canonicalize(strip_features(&next));
         let d = diff_states(600_000_000, &prev, 1_200_000_000, 1200.0, 600.0, &next);
-        let got = apply_delta(&prev, &d).expect("stripped delta applies");
+        let mut got = prev;
+        apply_delta(&mut got, d).expect("stripped delta applies");
         prop_assert_eq!(got, next);
     }
 }

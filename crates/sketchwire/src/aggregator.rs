@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::merge::{merge_chunks, merge_topk};
+use crate::merge::{check_mergeable, merge_chunks, merge_states};
 use crate::state::{StateError, TopKState, WindowState};
 
 /// Stage name the aggregator records trace events under.
@@ -428,38 +428,36 @@ impl AggregatorCore {
             return;
         };
         let conflicts_before = self.merge_conflicts;
-        let mut by_dataset: BTreeMap<String, TopKState> = BTreeMap::new();
+        // Each dataset's inputs, in ascending upstream order; the records
+        // are moved out of the popped window, never cloned.
+        let mut by_dataset: BTreeMap<String, Vec<TopKState>> = BTreeMap::new();
         let mut contributors: Vec<u64> = Vec::new();
-        for (&upstream, datasets) in &accum.sources {
+        for (upstream, datasets) in accum.sources {
             let mut contributed = false;
             for (name, parts) in datasets {
-                let assembled = match merge_chunks(parts) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.merge_conflicts += 1;
-                        continue;
+                let inputs = by_dataset.entry(name).or_default();
+                let accepted =
+                    merge_chunks(parts).and_then(|s| check_mergeable(inputs, &s).map(|()| s));
+                match accepted {
+                    Ok(s) => {
+                        inputs.push(s);
+                        self.dataset_merges += 1;
+                        contributed = true;
                     }
-                };
-                let merged = match by_dataset.remove(name) {
-                    None => Some(assembled),
-                    Some(current) => match merge_topk(&current, &assembled) {
-                        Ok(m) => Some(m),
-                        Err(_) => {
-                            self.merge_conflicts += 1;
-                            Some(current)
-                        }
-                    },
-                };
-                if let Some(m) = merged {
-                    by_dataset.insert(name.clone(), m);
-                    self.dataset_merges += 1;
-                    contributed = true;
+                    // A conflicting state is skipped: it neither merges
+                    // nor makes its upstream a contributor.
+                    Err(_) => self.merge_conflicts += 1,
                 }
             }
             if contributed {
                 contributors.push(upstream);
             }
         }
+        let datasets = by_dataset
+            .into_values()
+            .filter(|inputs| !inputs.is_empty())
+            .map(|inputs| merge_states(inputs).expect("every input passed check_mergeable"))
+            .collect();
         for &u in &contributors {
             self.ledger(u).stats.merged_windows += 1;
         }
@@ -497,7 +495,7 @@ impl AggregatorCore {
             start: accum.start,
             length: accum.length,
             upstreams: contributors,
-            datasets: by_dataset.into_values().collect(),
+            datasets,
             lineage,
         });
         self.sync_metrics();

@@ -16,10 +16,10 @@
 //! * [`record`] — the at-rest record format: one `SKW1`
 //!   [`feed::envelope`] per window state (state files and store
 //!   segments).
-//! * [`merge`] + [`aggregator`] — associative/commutative merge laws and
-//!   the sans-io [`AggregatorCore`] that aligns N streams on watermark
-//!   frontiers and emits [`GlobalWindow`]s whose error bound is the sum
-//!   of the per-input Space-Saving bounds.
+//! * [`merge`] + [`aggregator`] — owned chunk reassembly, the one
+//!   k-way merge law, and the sans-io [`AggregatorCore`] that aligns N
+//!   streams on watermark frontiers and emits [`GlobalWindow`]s whose
+//!   error bound is the sum of the per-input Space-Saving bounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +32,7 @@ pub mod state;
 pub use aggregator::{
     AggregatorConfig, AggregatorCore, AggregatorReport, GlobalWindow, UpstreamStats, WindowLineage,
 };
-pub use merge::{merge_chunks, merge_features, merge_topk};
+pub use merge::{check_mergeable, merge_chunks, merge_features, merge_states};
 pub use record::{read_all, write_record, RECORD};
 pub use state::{
     FeatureState, GateState, HistogramState, HllState, StateError, TopKEntry, TopKState,
@@ -147,7 +147,7 @@ mod tests {
         let chunks = ws.topk.clone().into_chunks(2);
         assert_eq!(chunks.len(), 3);
         assert!(chunks.iter().all(|c| c.chunks == 3));
-        let back = merge_chunks(&chunks).expect("reassemble");
+        let back = merge_chunks(chunks.clone()).expect("reassemble");
         let mut want = ws.topk;
         want.entries.sort_by(|a, b| a.key.cmp(&b.key));
         assert_eq!(back, want);
@@ -155,7 +155,7 @@ mod tests {
         // Duplicate chunks refuse to merge.
         let dup = vec![chunks[0].clone(), chunks[0].clone()];
         assert_eq!(
-            merge_chunks(&dup),
+            merge_chunks(dup),
             Err(StateError::ChunkMismatch("duplicate chunk"))
         );
     }
@@ -164,7 +164,7 @@ mod tests {
     fn absent_key_gains_min_count_on_both_bounds() {
         let a = tiny_state(1, 0.0, "esld", &["both", "only-a"]).topk;
         let b = tiny_state(2, 0.0, "esld", &["both", "only-b"]).topk;
-        let m = merge_topk(&a, &b).expect("merge");
+        let m = merge_states(vec![a.clone(), b.clone()]).expect("merge");
         assert_eq!(m.min_count, a.min_count + b.min_count);
         assert_eq!(m.error_bound, a.error_bound + b.error_bound);
         let only_a = m.entries.iter().find(|e| e.key == "only-a").unwrap();
@@ -180,6 +180,58 @@ mod tests {
         assert_eq!(both.error, sa.error + sb.error);
         // Stated-bound law: no merged entry's error exceeds the bound.
         assert!(m.max_entry_error() <= m.error_bound);
+    }
+
+    /// Re-encode every entry's HLLs at precision 5 (the fixtures use 4).
+    fn with_hll_p5(mut ws: WindowState) -> WindowState {
+        for e in &mut ws.topk.entries {
+            for h in &mut e.features.hlls {
+                *h = HllState {
+                    p: 5,
+                    registers: vec![0; 32],
+                };
+            }
+        }
+        ws
+    }
+
+    #[test]
+    fn disjoint_keys_with_different_layouts_refuse_to_merge() {
+        let a = tiny_state(1, 0.0, "esld", &["only-a"]).topk;
+        let b = with_hll_p5(tiny_state(2, 0.0, "esld", &["only-b"])).topk;
+        assert_eq!(
+            merge_states(vec![a.clone(), b.clone()]),
+            Err(StateError::LayoutMismatch("hll precision"))
+        );
+        assert_eq!(
+            merge_states(vec![b, a]),
+            Err(StateError::LayoutMismatch("hll precision"))
+        );
+    }
+
+    #[test]
+    fn conflicting_upstream_is_not_a_contributor() {
+        let cfg = AggregatorConfig::new(3);
+        let mut core = AggregatorCore::new(&cfg);
+        core.on_state(tiny_state(1, 0.0, "esld", &["a"])).unwrap();
+        core.on_state(with_hll_p5(tiny_state(2, 0.0, "esld", &["b"])))
+            .unwrap();
+        core.on_state(tiny_state(3, 0.0, "esld", &["c"])).unwrap();
+        let mut out = Vec::new();
+        let report = core.finish(&mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].upstreams, vec![1, 3], "upstream 2 was dropped");
+        let keys: Vec<&str> = out[0].datasets[0]
+            .entries
+            .iter()
+            .map(|e| e.key.as_str())
+            .collect();
+        assert_eq!(keys, vec!["a", "c"]);
+        assert_eq!(report.merge_conflicts, 1);
+        assert_eq!(report.dataset_merges, 2);
+        assert_eq!(report.upstreams[&1].merged_windows, 1);
+        assert_eq!(report.upstreams[&2].merged_windows, 0);
+        assert_eq!(report.upstreams[&3].merged_windows, 1);
     }
 
     #[test]

@@ -710,14 +710,29 @@ pub struct WindowState {
     pub topk: TopKState,
 }
 
+impl WindowState {
+    /// Encode a window item from borrowed parts: the same bytes as
+    /// [`FeedItem::encode`] on a `WindowState` holding them, without
+    /// owning (or cloning) the tracker state.
+    pub fn encode_parts(
+        upstream: u64,
+        start: f64,
+        length: f64,
+        topk: &TopKState,
+        out: &mut Vec<u8>,
+    ) {
+        write_varint(upstream, out);
+        write_f64(start, out);
+        write_f64(length, out);
+        topk.encode(out);
+    }
+}
+
 impl FeedItem for WindowState {
     const ITEM_VERSION: u8 = 1;
 
     fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(self.upstream, out);
-        write_f64(self.start, out);
-        write_f64(self.length, out);
-        self.topk.encode(out);
+        WindowState::encode_parts(self.upstream, self.start, self.length, &self.topk, out);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<WindowState, FeedError> {

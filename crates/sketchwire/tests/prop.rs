@@ -7,17 +7,109 @@
 //!   typed error — never a panic, never a silently different state.
 //! * **Merge ⋄ codec**: merging decoded copies equals merging the
 //!   originals — serialization is transparent to the merge algebra.
-//! * **Merge algebra**: `merge_topk`/`merge_features` are commutative
+//! * **Merge algebra**: `merge_states`/`merge_features` are commutative
 //!   and associative, so an aggregation tree produces the same global
 //!   state regardless of arrival order or tree shape; the stated error
 //!   bound is the sum of the inputs' and no entry's error exceeds it.
+//! * **One merge**: the k-way `merge_states` equals a left fold of the
+//!   pairwise reference law below, byte for byte.
+
+use std::collections::BTreeMap;
 
 use feed::{ByteReader, FeedItem};
 use proptest::prelude::*;
 use sketchwire::{
-    merge_chunks, merge_features, merge_topk, read_all, write_record, FeatureState, HistogramState,
-    HllState, TopKEntry, TopKState, TopValuesState, WindowState,
+    merge_chunks, merge_features, merge_states, read_all, write_record, FeatureState,
+    HistogramState, HllState, StateError, TopKEntry, TopKState, TopValuesState, WindowState,
 };
+
+// ---------------------------------------------------------------------
+// Reference: the pairwise cross-collector merge the k-way merge
+// replaced, kept verbatim as the oracle `merge_states` must match.
+// ---------------------------------------------------------------------
+
+/// Merge two assembled tracker states from *different* sources (the
+/// cross-collector Space-Saving merge law). Inputs must be whole windows
+/// (`chunks == 1`); chunks of one source reassemble with
+/// [`merge_chunks`] first — the absent-key adjustment below would be
+/// wrong within a single source.
+pub fn merge_topk(a: &TopKState, b: &TopKState) -> Result<TopKState, StateError> {
+    if a.dataset != b.dataset {
+        return Err(StateError::DatasetMismatch);
+    }
+    if a.chunks != 1 || b.chunks != 1 {
+        return Err(StateError::ChunkMismatch("merging unassembled chunk"));
+    }
+    let mut keys: BTreeMap<&str, (Option<&TopKEntry>, Option<&TopKEntry>)> = BTreeMap::new();
+    for e in &a.entries {
+        keys.entry(&e.key).or_default().0 = Some(e);
+    }
+    for e in &b.entries {
+        keys.entry(&e.key).or_default().1 = Some(e);
+    }
+    let mut entries = Vec::with_capacity(keys.len());
+    for (key, pair) in keys {
+        let e = match pair {
+            (Some(x), Some(y)) => TopKEntry {
+                key: key.to_string(),
+                count: x.count.saturating_add(y.count),
+                error: x.error.saturating_add(y.error),
+                inserted_at: x.inserted_at.min(y.inserted_at),
+                features: merge_features(&x.features, &y.features)?,
+            },
+            // A key one side never tracked has a true count of at most
+            // that side's min_count — add it to both the count (upper
+            // bound stays an upper bound) and the error (the lower bound
+            // concedes it may be zero).
+            (Some(x), None) => TopKEntry {
+                key: key.to_string(),
+                count: x.count.saturating_add(b.min_count),
+                error: x.error.saturating_add(b.min_count),
+                inserted_at: x.inserted_at,
+                features: x.features.clone(),
+            },
+            (None, Some(y)) => TopKEntry {
+                key: key.to_string(),
+                count: y.count.saturating_add(a.min_count),
+                error: y.error.saturating_add(a.min_count),
+                inserted_at: y.inserted_at,
+                features: y.features.clone(),
+            },
+            (None, None) => unreachable!("key came from one of the inputs"),
+        };
+        entries.push(e);
+    }
+    Ok(TopKState {
+        dataset: a.dataset.clone(),
+        capacity: a.capacity.min(b.capacity),
+        observed: a.observed.saturating_add(b.observed),
+        min_count: a.min_count.saturating_add(b.min_count),
+        error_bound: a.error_bound.saturating_add(b.error_bound),
+        evictions: a.evictions.saturating_add(b.evictions),
+        kept: a.kept.saturating_add(b.kept),
+        dropped: a.dropped.saturating_add(b.dropped),
+        filtered: a.filtered.saturating_add(b.filtered),
+        chunk: 0,
+        chunks: 1,
+        entries,
+        // A merge output is an aggregate of two trackers, not a live
+        // tracker: no single gate describes it, so it carries none.
+        gate: None,
+    })
+}
+
+/// Left fold of the pairwise reference over `states` (non-empty).
+fn pairwise_fold(states: &[TopKState]) -> TopKState {
+    let mut acc = states[0].clone();
+    for next in &states[1..] {
+        acc = merge_topk(&acc, next).expect("fixed layout merges");
+    }
+    acc
+}
+
+fn merge2(a: &TopKState, b: &TopKState) -> TopKState {
+    merge_states(vec![a.clone(), b.clone()]).expect("fixed layout merges")
+}
 
 // ---------------------------------------------------------------------
 // Strategies. All values respect the decoder's invariants (the decoder
@@ -250,31 +342,31 @@ proptest! {
 
     #[test]
     fn merge_commutes_with_codec(a in arb_window(), b in arb_window()) {
-        let direct = merge_topk(&a.topk, &b.topk).expect("fixed layout merges");
-        let via_wire = merge_topk(&roundtrip(&a).topk, &roundtrip(&b).topk)
-            .expect("fixed layout merges");
+        let direct = merge2(&a.topk, &b.topk);
+        let via_wire = merge2(&roundtrip(&a).topk, &roundtrip(&b).topk);
         prop_assert_eq!(direct, via_wire);
     }
 
     // --- merge algebra -------------------------------------------------
 
     #[test]
-    fn merge_topk_is_commutative(a in arb_topk(), b in arb_topk()) {
-        let ab = merge_topk(&a, &b).expect("merge");
-        let ba = merge_topk(&b, &a).expect("merge");
-        prop_assert_eq!(ab, ba);
+    fn merge_states_is_commutative(a in arb_topk(), b in arb_topk()) {
+        prop_assert_eq!(merge2(&a, &b), merge2(&b, &a));
     }
 
     #[test]
-    fn merge_topk_is_associative(a in arb_topk(), b in arb_topk(), c in arb_topk()) {
-        let left = merge_topk(&merge_topk(&a, &b).expect("ab"), &c).expect("ab_c");
-        let right = merge_topk(&a, &merge_topk(&b, &c).expect("bc")).expect("a_bc");
-        prop_assert_eq!(left, right);
+    fn merge_states_is_associative(a in arb_topk(), b in arb_topk(), c in arb_topk()) {
+        let left = merge2(&merge2(&a, &b), &c);
+        let right = merge2(&a, &merge2(&b, &c));
+        prop_assert_eq!(&left, &right);
+        // And one three-way pass lands on the same state.
+        let once = merge_states(vec![a, b, c]).expect("abc");
+        prop_assert_eq!(once, left);
     }
 
     #[test]
     fn merged_bound_is_sum_and_covers_entries(a in arb_topk(), b in arb_topk()) {
-        let m = merge_topk(&a, &b).expect("merge");
+        let m = merge2(&a, &b);
         prop_assert_eq!(m.error_bound, a.error_bound + b.error_bound);
         prop_assert_eq!(m.min_count, a.min_count + b.min_count);
         // Every entry's error gained at most the other side's min_count,
@@ -312,7 +404,7 @@ proptest! {
     fn chunks_reassemble_losslessly(topk in arb_topk(), max in 1usize..4) {
         let chunks = topk.clone().into_chunks(max);
         prop_assert!(chunks.iter().all(|c| c.entries.len() <= max));
-        let back = merge_chunks(&chunks).expect("reassemble");
+        let back = merge_chunks(chunks).expect("reassemble");
         let mut want = topk;
         want.entries.sort_by(|a, b| a.key.cmp(&b.key));
         prop_assert_eq!(back, want);
@@ -332,7 +424,7 @@ proptest! {
         }
         let shipped = read_all(&buf).expect("valid stream");
         let parts: Vec<TopKState> = shipped.into_iter().map(|w| w.topk).collect();
-        let back = merge_chunks(&parts).expect("reassemble");
+        let back = merge_chunks(parts).expect("reassemble");
         let mut want = ws.topk;
         want.entries.sort_by(|a, b| a.key.cmp(&b.key));
         prop_assert_eq!(back, want);
@@ -351,11 +443,7 @@ proptest! {
         // linear fold. Whatever consecutive partition each level picks,
         // the final state must be byte-identical to the one-shot fold.
         let fold = |group: &[TopKState]| -> TopKState {
-            let mut acc = group[0].clone();
-            for part in &group[1..] {
-                acc = merge_topk(&acc, part).expect("fixed layout merges");
-            }
-            acc
+            merge_states(group.to_vec()).expect("fixed layout merges")
         };
         // Split `items` into consecutive runs, cutting after position i
         // when cuts[i] is set.
@@ -385,5 +473,41 @@ proptest! {
             topk,
         };
         prop_assert_eq!(encode_ws(&wrap(rolled)), encode_ws(&wrap(oneshot)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn merge_states_equals_pairwise_left_fold(
+        states in prop::collection::vec(arb_topk(), 1..=8),
+        disjoint in prop::collection::vec(any::<bool>(), 8),
+    ) {
+        // Some inputs get keys no other input holds; arb_topk emits its
+        // keys in arbitrary order, so unsorted inputs are covered too.
+        let states: Vec<TopKState> = states
+            .into_iter()
+            .zip(&disjoint)
+            .enumerate()
+            .map(|(i, (mut s, &own))| {
+                if own {
+                    for e in &mut s.entries {
+                        e.key = format!("u{i}-{}", e.key);
+                    }
+                }
+                s
+            })
+            .collect();
+        let want = pairwise_fold(&states);
+        let got = merge_states(states).expect("fixed layout merges");
+        prop_assert_eq!(&got, &want);
+        let wrap = |topk: TopKState| WindowState {
+            upstream: 0,
+            start: 0.0,
+            length: 600.0,
+            topk,
+        };
+        prop_assert_eq!(encode_ws(&wrap(got)), encode_ws(&wrap(want)));
     }
 }

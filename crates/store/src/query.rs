@@ -12,7 +12,8 @@
 
 use crate::store::Store;
 use crate::StoreError;
-use sketchwire::{merge_chunks, merge_topk, StateError, TopKState, WindowState};
+use sketchwire::{merge_chunks, merge_states, StateError, TopKState, WindowState};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Query-planner accounting: what was pruned where. `dnsobs query`
@@ -71,13 +72,19 @@ pub struct HistoryPoint {
 /// the *entire* store versus the original appended states — compaction
 /// must not change its result.
 ///
+/// Each dataset's reassembled states (window-ascending, then
+/// upstream-ascending) fold in one `merge_states` pass. Owned input is
+/// moved through without a copy; a borrowed slice is cloned once.
+///
 /// Duplicate (window, upstream, dataset, chunk) records are a chunk
 /// conflict, so an accidentally double-appended window is a typed error,
 /// never a silent double count.
-pub fn fold_states(states: &[WindowState]) -> Result<BTreeMap<String, TopKState>, StateError> {
+pub fn fold_states<'a>(
+    states: impl Into<Cow<'a, [WindowState]>>,
+) -> Result<BTreeMap<String, TopKState>, StateError> {
     // (dataset, window_us, upstream) → chunks.
-    let mut groups: BTreeMap<(String, u64, u64), Vec<&WindowState>> = BTreeMap::new();
-    for ws in states {
+    let mut groups: BTreeMap<(String, u64, u64), Vec<TopKState>> = BTreeMap::new();
+    for ws in states.into().into_owned() {
         groups
             .entry((
                 ws.topk.dataset.clone(),
@@ -85,19 +92,19 @@ pub fn fold_states(states: &[WindowState]) -> Result<BTreeMap<String, TopKState>
                 ws.upstream,
             ))
             .or_default()
-            .push(ws);
+            .push(ws.topk);
     }
-    let mut folded: BTreeMap<String, TopKState> = BTreeMap::new();
-    for ((dataset, _, _), group) in groups {
-        let parts: Vec<TopKState> = group.iter().map(|ws| ws.topk.clone()).collect();
-        let assembled = merge_chunks(&parts)?;
-        let merged = match folded.remove(&dataset) {
-            Some(acc) => merge_topk(&acc, &assembled)?,
-            None => assembled,
-        };
-        folded.insert(dataset, merged);
+    let mut inputs: BTreeMap<String, Vec<TopKState>> = BTreeMap::new();
+    for ((dataset, _, _), parts) in groups {
+        inputs
+            .entry(dataset)
+            .or_default()
+            .push(merge_chunks(parts)?);
     }
-    Ok(folded)
+    inputs
+        .into_iter()
+        .map(|(dataset, states)| Ok((dataset, merge_states(states)?)))
+        .collect()
 }
 
 /// All windows of `dataset` intersecting `[t0_us, t1_us)`, each
@@ -153,7 +160,7 @@ pub fn windows_in(
     }
     let mut out = Vec::with_capacity(windows.len());
     for (w_us, (length, level, states)) in windows {
-        let mut folded = fold_states(&states).map_err(|source| StoreError::Merge {
+        let mut folded = fold_states(states).map_err(|source| StoreError::Merge {
             context: format!("window {w_us} of {dataset}"),
             source,
         })?;

@@ -155,8 +155,8 @@ fn hierarchical_rollup_is_byte_identical_to_oneshot() {
     assert_eq!(a_days, b_days, "rollup association order leaked into bytes");
     // And both agree with the pure in-memory fold.
     assert_eq!(
-        fold_states(&all_states(&a)).expect("fold a"),
-        fold_states(&all_states(&b)).expect("fold b"),
+        fold_states(all_states(&a)).expect("fold a"),
+        fold_states(all_states(&b)).expect("fold b"),
     );
 }
 
@@ -216,7 +216,7 @@ fn crash_at_every_op_recovers_without_losing_windows() {
             frontier,
             "crash op {op} moved the frontier"
         );
-        let fold = fold_states(&all_states(&recovered)).expect("recovered fold");
+        let fold = fold_states(all_states(&recovered)).expect("recovered fold");
         assert_eq!(
             fold, reference_fold,
             "crash op {op} lost or double-counted a window"
@@ -224,7 +224,7 @@ fn crash_at_every_op_recovers_without_losing_windows() {
         // And the recovered store finishes the job cleanly.
         let (mut recovered, _) = Store::open(&dir).expect("reopen");
         compact(&mut recovered, &policy).expect("resume compaction");
-        let fold = fold_states(&all_states(&recovered)).expect("resumed fold");
+        let fold = fold_states(all_states(&recovered)).expect("resumed fold");
         assert_eq!(fold, reference_fold);
     }
 }
@@ -315,7 +315,7 @@ fn query_history_topk_and_stats() {
 
     // The whole-store fold still matches the raw fold after queries.
     assert_eq!(
-        fold_states(&all_states(&store)).expect("fold"),
+        fold_states(all_states(&store)).expect("fold"),
         fold_states(&raw).expect("raw fold"),
     );
 }
@@ -386,7 +386,7 @@ fn expire_crash_at_every_op_never_loses_live_windows() {
         .expect("reference expiry");
     let total_ops = durable.ops();
     assert!(total_ops >= 3, "manifest swap plus unlinks");
-    let reference_fold = fold_states(&all_states(&reference)).expect("reference fold");
+    let reference_fold = fold_states(all_states(&reference)).expect("reference fold");
 
     for op in 0..total_ops {
         let mut victim = build(&format!("expire-crash-{op}"));
@@ -415,7 +415,7 @@ fn expire_crash_at_every_op_never_loses_live_windows() {
         // Re-running the expiry converges to the reference state.
         let (mut recovered, _) = Store::open(&dir).expect("reopen");
         recovered.expire_before(horizon).expect("resume expiry");
-        let fold = fold_states(&all_states(&recovered)).expect("recovered fold");
+        let fold = fold_states(all_states(&recovered)).expect("recovered fold");
         assert_eq!(fold, reference_fold, "crash op {op} diverged");
     }
 }

@@ -98,8 +98,9 @@ fn spawn_subscriber(
         let mut files = BTreeMap::new();
         while let Ok(Some(ev)) = client.next_event() {
             match ev {
-                SubEvent::Window(h) => {
-                    let key = (h.state.dataset.clone(), h.start as u64);
+                SubEvent::Window { dataset, .. } => {
+                    let h = client.core().held(&dataset).expect("held window");
+                    let key = (dataset, h.start as u64);
                     files.insert(key.clone(), render_bytes(&h.state, h.start, h.length));
                     let _ = acks.send(key);
                 }
@@ -229,8 +230,9 @@ fn meta_payloads_ride_the_same_stream() {
         let mut metas = Vec::new();
         while let Ok(Some(ev)) = client.next_event() {
             match ev {
-                SubEvent::Window(h) => {
-                    let _ = tx.send((h.state.dataset.clone(), h.start as u64));
+                SubEvent::Window { dataset, .. } => {
+                    let h = client.core().held(&dataset).expect("held window");
+                    let _ = tx.send((dataset, h.start as u64));
                 }
                 SubEvent::Meta { start_us, bytes } => metas.push((start_us, bytes)),
                 SubEvent::End => break,
